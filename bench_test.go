@@ -438,8 +438,9 @@ func BenchmarkEngineSnapshot1MDirty1of4(b *testing.B) {
 }
 
 // BenchmarkEngineSnapshot1MClean measures a snapshot with nothing ingested
-// since the last one: no clones at all, just barrier + merge of the reused
-// shard clones.
+// since the last one: the barrier and the per-shard epoch check, which
+// find every shard clean and return the cached merged sampler — no clone
+// and no merge.
 func BenchmarkEngineSnapshot1MClean(b *testing.B) {
 	edges := engineEdges(b)
 	p, err := gps.NewParallel(gps.Config{Capacity: 100000, Seed: 9}, 4)

@@ -3,10 +3,13 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
+	"gps/internal/graph"
 	"gps/internal/obs"
-	"gps/internal/order"
 )
 
 // Merge combines the reservoirs of samplers that each processed a disjoint
@@ -31,13 +34,82 @@ import (
 // others are treated as excluded mass. The merged sampler has capacity
 // cfg.Capacity, carries summed arrival/duplicate counts, and is a fully
 // functional sampler: it can keep processing edges or feed any estimator.
+//
+// The merge is a bulk build in three steps. Each input's entries are
+// extracted as compact (priority, key, slot) records and sorted, one input
+// per goroutine. A k-way merge of the sorted runs then walks the union
+// from the highest priority down (ties by ascending edge key, then by
+// input order), offering each candidate to an order.Filler until the
+// merged sample is full. Finally the Filler loads the heap while
+// graph.BuildAdjacency indexes the stored edges on a second goroutine.
+// The result is bit-identical to pushing the candidates one by one, in
+// that order, into a fresh sampler: the same arena slots, heap order,
+// dense node ids, neighbor and slot runs, threshold and counters. The
+// package tests check this against exactly that loop (mergeReference).
 func Merge(samplers []*Sampler, cfg Config) (*Sampler, error) {
+	m, total, err := mergeShell(samplers, cfg)
+	if err != nil {
+		return nil, err
+	}
+	// A candidate left out of the merged sample joins the threshold
+	// competition exactly as if it had been evicted — and counts as an
+	// eviction, keeping accepts-evicts equal to the fill.
+	exclude := func(priority float64, n int) {
+		if obs.Enabled {
+			m.evicts += uint64(n)
+		}
+		if priority > m.zstar {
+			m.zstar = priority
+		}
+	}
+
+	runs := sortedRuns(samplers, total)
+	heads := make([]int, len(runs))
+	n := min(total, cfg.Capacity)
+	fill := m.res.heap.Filler(n)
+	edges := make([]graph.Edge, 0, n)
+	slots := make([]int32, 0, n)
+	left := total
+	for ; left > 0 && len(slots) < cfg.Capacity; left-- {
+		in := nextRun(runs, heads)
+		rec := runs[in][heads[in]]
+		heads[in]++
+		if slot, ok := fill.Offer(rec.key, samplers[in].res.heap.BySlot(rec.slot)); ok {
+			edges = append(edges, graph.EdgeFromKey(rec.key))
+			slots = append(slots, slot)
+		} else {
+			exclude(rec.priority, 1)
+		}
+	}
+	if left > 0 {
+		// The merged sample is full: every unread record is excluded, and
+		// the highest of them heads some run.
+		in := nextRun(runs, heads)
+		exclude(runs[in][heads[in]].priority, left)
+	}
+	// The heap and the adjacency index share no state: build them at once.
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		m.res.adj = graph.BuildAdjacency(edges, slots)
+	}()
+	fill.Done()
+	wg.Wait()
+	return m, nil
+}
+
+// mergeShell validates the inputs of a merge and returns the merged
+// sampler before any entry is placed — empty reservoir, summed counters,
+// the largest input threshold, the shared decay landmark and the latest
+// horizon — together with the number of entries the inputs hold.
+func mergeShell(samplers []*Sampler, cfg Config) (*Sampler, int, error) {
 	if len(samplers) == 0 {
-		return nil, errors.New("core: Merge requires at least one sampler")
+		return nil, 0, errors.New("core: Merge requires at least one sampler")
 	}
 	m, err := NewSampler(cfg)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 
 	// Forward decay merges only between samplers that agree on the decay
@@ -45,13 +117,13 @@ func Merge(samplers []*Sampler, cfg Config) (*Sampler, error) {
 	// when every boost used the same g. The merged horizon is the max.
 	for _, s := range samplers {
 		if s.decay != cfg.Decay {
-			return nil, fmt.Errorf("core: Merge decay config %+v disagrees with sampler's %+v", cfg.Decay, s.decay)
+			return nil, 0, fmt.Errorf("core: Merge decay config %+v disagrees with sampler's %+v", cfg.Decay, s.decay)
 		}
 		if s.landmarkSet {
 			if !m.landmarkSet {
 				m.landmark, m.landmarkSet = s.landmark, true
 			} else if m.landmark != s.landmark {
-				return nil, fmt.Errorf("core: Merge landmark disagreement: %d vs %d (shards must share the decay landmark)",
+				return nil, 0, fmt.Errorf("core: Merge landmark disagreement: %d vs %d (shards must share the decay landmark)",
 					m.landmark, s.landmark)
 			}
 		}
@@ -73,35 +145,80 @@ func Merge(samplers []*Sampler, cfg Config) (*Sampler, error) {
 		m.accepts += s.accepts
 		m.evicts += s.evicts
 	}
-	entries := make([]order.Entry, 0, total)
-	for _, s := range samplers {
-		for i := 0; i < s.res.Len(); i++ {
-			entries = append(entries, *s.res.heap.At(i))
+	return m, total, nil
+}
+
+// mergeRecord is the sort key of one input entry: its priority and edge
+// key, and the arena slot it is read from once it wins a place.
+type mergeRecord struct {
+	priority float64
+	key      uint64
+	slot     int32
+}
+
+// compareRecords orders by priority descending, then by edge key.
+func compareRecords(a, b mergeRecord) int {
+	switch {
+	case a.priority > b.priority:
+		return -1
+	case a.priority < b.priority:
+		return 1
+	case a.key < b.key:
+		return -1
+	case a.key > b.key:
+		return 1
+	}
+	return 0
+}
+
+// sortedRuns extracts the records of every input into one shared array
+// and sorts each input's run, on up to GOMAXPROCS goroutines. The inputs
+// are only read, so they may be shared with concurrent merges.
+func sortedRuns(samplers []*Sampler, total int) [][]mergeRecord {
+	recs := make([]mergeRecord, total)
+	runs := make([][]mergeRecord, len(samplers))
+	for i, s := range samplers {
+		n := s.res.Len()
+		runs[i], recs = recs[:n:n], recs[n:]
+	}
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < len(runs); i = int(next.Add(1) - 1) {
+			h, run := samplers[i].res.heap, runs[i]
+			for j := range run {
+				slot := h.SlotAt(j)
+				e := h.BySlot(slot)
+				run[j] = mergeRecord{priority: e.Priority, key: e.Edge.Key(), slot: slot}
+			}
+			slices.SortFunc(run, compareRecords)
 		}
 	}
-	// Highest priority first; ties broken by edge key so the merge is a
-	// deterministic function of the shard reservoirs.
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Priority != entries[j].Priority {
-			return entries[i].Priority > entries[j].Priority
-		}
-		return entries[i].Edge.Key() < entries[j].Edge.Key()
-	})
+	var wg sync.WaitGroup
+	for range min(len(runs), runtime.GOMAXPROCS(0)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	return runs
+}
 
-	for _, ent := range entries {
-		if m.res.Len() < cfg.Capacity && !m.res.Contains(ent.Edge) {
-			m.res.insert(ent)
+// nextRun returns the index of the run whose head comes first in merge
+// order, the lowest index among equal heads; at least one run must have
+// records left. A linear scan suits the few runs a merge has: one per
+// shard or pane.
+func nextRun(runs [][]mergeRecord, heads []int) int {
+	best := -1
+	for i, run := range runs {
+		if heads[i] == len(run) {
 			continue
 		}
-		// Excluded from the merged sample: its priority joins the
-		// threshold competition, exactly as if it had been evicted — and it
-		// counts as an eviction, keeping accepts-evicts equal to the fill.
-		if obs.Enabled {
-			m.evicts++
-		}
-		if ent.Priority > m.zstar {
-			m.zstar = ent.Priority
+		if best < 0 || compareRecords(run[heads[i]], runs[best][heads[best]]) < 0 {
+			best = i
 		}
 	}
-	return m, nil
+	return best
 }

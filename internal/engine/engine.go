@@ -642,7 +642,9 @@ func (p *Parallel) Snapshot() (*core.Sampler, error) {
 	for i, r := range refs {
 		clones[i] = r.s
 	}
+	mergeStart := time.Now()
 	m, err := p.merge(clones)
+	p.met.mergeNS.Observe(uint64(time.Since(mergeStart)))
 
 	p.mu.Lock()
 	for i, r := range refs {

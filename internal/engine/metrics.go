@@ -20,6 +20,7 @@ type engineMetrics struct {
 	drainEdges   *obs.Histogram // edges per drained span
 	barrierNS    *obs.Histogram // admission-barrier ring-drain wait, ns
 	stallNS      *obs.Histogram // snapshot/checkpoint ingestion stall, ns
+	mergeNS      *obs.Histogram // snapshot merge after ingestion resumes, ns
 	ckptEncNS    *obs.Histogram // checkpoint parallel-encode phase, ns
 	ckptEncBytes *obs.Histogram // bytes per freshly encoded shard blob
 }
@@ -32,6 +33,7 @@ func (m *engineMetrics) init() {
 	m.drainEdges = obs.NewHistogram(obs.Sizes(20))
 	m.barrierNS = obs.NewHistogram(obs.Latency())
 	m.stallNS = obs.NewHistogram(obs.Latency())
+	m.mergeNS = obs.NewHistogram(obs.Latency())
 	m.ckptEncNS = obs.NewHistogram(obs.Latency())
 	m.ckptEncBytes = obs.NewHistogram(obs.Sizes(34))
 }
@@ -39,7 +41,7 @@ func (m *engineMetrics) init() {
 // RegisterMetrics attaches the engine's telemetry to reg under the
 // gps_engine_* namespace: data-plane gauges (per-shard ring depth, backlog,
 // epochs), backpressure and scheduling counters (producer stalls, consumer
-// parks/wakeups), the drain/barrier/stall/encode histograms, and the
+// parks/wakeups), the drain/barrier/stall/merge/encode histograms, and the
 // snapshot/checkpoint bookkeeping counters. Scrape-time readers are either
 // lock-free atomics or take p.mu briefly; none of them touches the
 // admission lock, so scraping never stalls ingestion. labels (e.g. a
@@ -86,6 +88,8 @@ func (p *Parallel) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 		"Ring-drain wait inside the admission barrier (per Merge/Snapshot/Checkpoint).", p.met.barrierNS, labels...)
 	reg.RegisterHistogram("gps_engine_snapshot_stall_seconds",
 		"Ingestion stall per snapshot or checkpoint: barrier plus dirty-shard clone.", p.met.stallNS, labels...)
+	reg.RegisterHistogram("gps_engine_snapshot_merge_seconds",
+		"Merge of the shard clones per snapshot that found a shard dirty, after ingestion resumes.", p.met.mergeNS, labels...)
 
 	reg.RegisterCounterFunc("gps_engine_snapshots_total", "Snapshots taken.",
 		func() uint64 { s, _, _ := p.SnapshotStats(); return s }, labels...)

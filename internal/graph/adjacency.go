@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Adjacency is a dynamic undirected adjacency structure supporting edge
 // insertion, deletion and neighborhood queries. It is the topology index of
@@ -224,6 +227,68 @@ func RestoreAdjacency(nodes []NodeID, freed []int32, nbrs [][]NodeID, slots [][]
 	}
 	a.edges = half / 2
 	return a, nil
+}
+
+// BuildAdjacency returns the structure that AddWithSlot(edges[i], slots[i])
+// for i = 0, 1, ... builds on an empty one, in one bulk pass. Dense ids
+// follow the same first-touch order (U before V, edge by edge), so the
+// dense tables, runs and slot annotations match the sequential build
+// exactly. Degrees are counted first; each run is then filled into one
+// shared CSR backing array (per-node runs cut from one array, with the
+// full-length caps CloneInto uses) and sorted in place. edges must be
+// distinct canonical edges and slots as long as edges.
+func BuildAdjacency(edges []Edge, slots []int32) *Adjacency {
+	// A sparse sample touches about one new node per edge.
+	a := &Adjacency{idx: make(map[NodeID]int32, len(edges))}
+	ends := make([]int32, 2*len(edges)) // dense ids of U and V per edge
+	var deg []int32
+	for i, e := range edges {
+		for j, v := range [2]NodeID{e.U, e.V} {
+			id, ok := a.idx[v]
+			if !ok {
+				id = int32(len(a.nodes))
+				a.idx[v] = id
+				a.nodes = append(a.nodes, v)
+				deg = append(deg, 0)
+			}
+			deg[id]++
+			ends[2*i+j] = id
+		}
+	}
+	// Turn degrees into run ends; the fill below walks each cursor back
+	// to its run's start.
+	cur := deg
+	for id := 1; id < len(cur); id++ {
+		cur[id] += cur[id-1]
+	}
+	// A half-edge packs the neighbor above its slot, so sorting a run of
+	// packed words orders it by neighbor and carries the slot along.
+	packed := make([]uint64, len(ends))
+	for i, e := range edges {
+		s := uint64(uint32(slots[i]))
+		u, v := ends[2*i], ends[2*i+1]
+		cur[u]--
+		packed[cur[u]] = uint64(e.V)<<32 | s
+		cur[v]--
+		packed[cur[v]] = uint64(e.U)<<32 | s
+	}
+	n := len(a.nodes)
+	nb, sb := make([]NodeID, len(packed)), make([]int32, len(packed))
+	a.nbrs, a.slots = make([][]NodeID, n), make([][]int32, n)
+	for id := range n {
+		lo, hi := int(cur[id]), len(packed)
+		if id+1 < n {
+			hi = int(cur[id+1])
+		}
+		run := packed[lo:hi]
+		slices.Sort(run)
+		for j, p := range run {
+			nb[lo+j], sb[lo+j] = NodeID(p>>32), int32(uint32(p))
+		}
+		a.nbrs[id], a.slots[id] = nb[lo:hi:hi], sb[lo:hi:hi]
+	}
+	a.edges = len(edges)
+	return a
 }
 
 // intern returns the dense id of v, allocating one if v is new.

@@ -22,6 +22,7 @@ package order
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"gps/internal/graph"
 	"gps/internal/randx"
@@ -317,6 +318,85 @@ func (h *Heap) Remove(key uint64) (Entry, bool) {
 	return removed, true
 }
 
+// Filler bulk-loads a new heap with the candidates of a priority-sampling
+// merge, offered from the highest priority down. The loaded heap is
+// exactly the one Contains plus Push would build from the same offers —
+// same slots, heap order, positions and key-table layout — at a fraction
+// of the cost:
+//
+//   - Offer makes one insert-if-absent probe of the key table, where
+//     Contains and Push's duplicate check probe it twice;
+//   - Offer only notes where a stored entry lives, and Done copies all of
+//     them in one pass whose independent reads overlap in memory;
+//   - Done sifts with priorities held in a position-indexed array instead
+//     of reading them from the arena. Each candidate is the lowest so
+//     far, so it sifts up to the root or to an equal-priority ancestor,
+//     and consecutive sift paths share all but their lowest levels.
+//
+// The heap must not be used between Filler and Done.
+type Filler struct {
+	h   *Heap
+	src []*Entry // src[slot]: where the entry stored at slot is copied from
+}
+
+// Filler starts a bulk load of h, which must be as NewHeap returned it: no
+// entry ever pushed. capHint is the expected number of stored entries.
+func (h *Heap) Filler(capHint int) *Filler {
+	if len(h.arena) != 0 {
+		panic("order: Filler on a used heap")
+	}
+	return &Filler{h: h, src: make([]*Entry, 0, capHint)}
+}
+
+// Offer stores the entry *src under the edge key key, which must be
+// src.Edge.Key(), and returns its arena slot — unless an entry with that
+// key is already stored, in which case it returns false. src is read by
+// Done, not here, and must stay valid and unchanged until then.
+func (f *Filler) Offer(key uint64, src *Entry) (int32, bool) {
+	if key == 0 {
+		panic("order: non-canonical zero edge pushed") // see Push
+	}
+	slot := int32(len(f.src))
+	if !f.h.tab.putIfAbsent(key, slot) {
+		return 0, false
+	}
+	f.src = append(f.src, src)
+	return slot, true
+}
+
+// Done copies the stored entries into the arena and builds the heap order
+// and position index, after which h is usable as usual. The Filler must
+// not be used again.
+func (f *Filler) Done() {
+	h, n := f.h, len(f.src)
+	h.arena = slices.Grow(h.arena, n)[:n]
+	for slot, src := range f.src {
+		h.arena[slot] = *src
+	}
+	h.heap = slices.Grow(h.heap, n)[:n]
+	prio := make([]float64, n) // prio[i] = priority at heap position i
+	for slot := range int32(n) {
+		// Hole sift-up: the same moves as siftUp's swaps, writing each
+		// displaced ancestor once.
+		p := h.arena[slot].Priority
+		i := slot
+		for i > 0 {
+			parent := (i - 1) / 2
+			if prio[parent] <= p {
+				break
+			}
+			h.heap[i], prio[i] = h.heap[parent], prio[parent]
+			i = parent
+		}
+		h.heap[i], prio[i] = slot, p
+	}
+	h.pos = slices.Grow(h.pos, n)[:n]
+	for i, slot := range h.heap {
+		h.pos[slot] = int32(i)
+	}
+	f.h, f.src = nil, nil
+}
+
 func (h *Heap) prio(i int32) float64 { return h.arena[h.heap[i]].Priority }
 
 func (h *Heap) siftUp(i int32) {
@@ -407,6 +487,31 @@ func (t *keyTable) put(key uint64, slot int32) {
 	t.keys[i] = key
 	t.slots[i] = slot
 	t.used++
+}
+
+// putIfAbsent stores key → slot unless key is present, reporting whether
+// it stored. It probes the chain once and leaves the table exactly as get
+// followed by put would.
+func (t *keyTable) putIfAbsent(key uint64, slot int32) bool {
+	i := hashKey(key) & t.mask
+	for {
+		k := t.keys[i]
+		if k == key {
+			return false
+		}
+		if k == 0 {
+			break
+		}
+		i = (i + 1) & t.mask
+	}
+	if 4*(t.used+1) > 3*len(t.keys) {
+		t.put(key, slot) // grows first, then probes the resized table
+		return true
+	}
+	t.keys[i] = key
+	t.slots[i] = slot
+	t.used++
+	return true
 }
 
 func (t *keyTable) grow() {

@@ -382,6 +382,7 @@ func (s *Server) metricsPartition() (statsCovered, metricsOnly []string) {
 			"gps_engine_drain_batch_seconds",
 			"gps_engine_ring_parks_total",
 			"gps_engine_ring_wakeups_total",
+			"gps_engine_snapshot_merge_seconds",
 			"gps_engine_snapshot_stall_seconds", // stats has only the last stall, not the distribution
 		)
 	}
