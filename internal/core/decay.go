@@ -177,7 +177,7 @@ func (s *Sampler) slotDecays() []float64 {
 // and d·d' (pair) scalings.
 func estimatePostDecayed(s *Sampler) Estimates {
 	n := s.res.Len()
-	probs := s.slotProbs()
+	probs, ends := s.slotProbs(), s.slotEnds()
 	decays := s.slotDecays()
 	workers := estimateWorkers(n)
 	parts := make([]partial, workers)
@@ -187,7 +187,7 @@ func estimatePostDecayed(s *Sampler) Estimates {
 		var edges float64
 		for i := lo; i < hi; i++ {
 			slot := s.res.heap.SlotAt(i)
-			local.add(s.estimateEdgeDecayed(slot, probs, decays))
+			local.add(s.estimateEdgeDecayed(slot, probs, decays, ends))
 			edges += decays[slot] / probs[slot]
 		}
 		parts[w] = local
@@ -206,15 +206,12 @@ func estimatePostDecayed(s *Sampler) Estimates {
 // With every decay factor exactly 1 it reduces term for term to the
 // undecayed scan (a tested property: a stream whose edges all share one
 // event time estimates bit-identically with decay on and off).
-func (s *Sampler) estimateEdgeDecayed(slot int32, probs, decays []float64) edgeTotals {
+func (s *Sampler) estimateEdgeDecayed(slot int32, probs, decays []float64, ends [][2]int32) edgeTotals {
 	var t edgeTotals
-	k := s.res.entryAt(slot).Edge
 	invQ := 1 / probs[slot]
 	dk := decays[slot]
 
-	v1, v2 := k.U, k.V
-	n1, s1 := s.res.neighborRun(v1)
-	n2, s2 := s.res.neighborRun(v2)
+	v1, n1, s1, v2, n2, s2 := s.endpointRuns(slot, ends)
 	if len(n1) > len(n2) {
 		v1, v2 = v2, v1
 		n1, s1, n2, s2 = n2, s2, n1, s1

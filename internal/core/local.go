@@ -26,17 +26,18 @@ func (lt LocalTriangles) Total() float64 {
 // a triangle enumerated at one of its three edges credits Ŝ_τ/3 to each
 // corner, so after the full scan every corner has accumulated Ŝ_τ. Like
 // EstimatePost it runs on the slot-indexed fast path: probabilities come
-// from the slot table and triangle detection is the two-pointer merge over
+// from the slot table, endpoint runs are read by dense id from the
+// endpoint table, and triangle detection is the two-pointer merge over
 // slot runs.
 func EstimateLocalPost(s *Sampler) LocalTriangles {
 	n := s.res.Len()
-	probs := s.slotProbs()
+	probs, ends := s.slotProbs(), s.slotEnds()
 	workers := estimateWorkers(n)
 	parts := make([]LocalTriangles, workers)
 	parallelFor(n, workers, func(w, lo, hi int) {
 		local := make(LocalTriangles)
 		for i := lo; i < hi; i++ {
-			s.localEdge(s.res.heap.SlotAt(i), probs, local)
+			s.localEdge(s.res.heap.SlotAt(i), probs, ends, local)
 		}
 		parts[w] = local
 	})
@@ -51,12 +52,9 @@ func EstimateLocalPost(s *Sampler) LocalTriangles {
 
 // localEdge accumulates the corner contributions of the triangles at the
 // sampled edge stored at the given heap slot.
-func (s *Sampler) localEdge(slot int32, probs []float64, acc LocalTriangles) {
-	k := s.res.entryAt(slot).Edge
+func (s *Sampler) localEdge(slot int32, probs []float64, ends [][2]int32, acc LocalTriangles) {
 	invQ := 1 / probs[slot]
-	v1, v2 := k.U, k.V
-	n1, s1 := s.res.neighborRun(v1)
-	n2, s2 := s.res.neighborRun(v2)
+	v1, n1, s1, v2, n2, s2 := s.endpointRuns(slot, ends)
 	if len(n1) > len(n2) {
 		v1, v2 = v2, v1
 		n1, s1, n2, s2 = n2, s2, n1, s1

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -36,8 +37,8 @@ import (
 // functional sampler: it can keep processing edges or feed any estimator.
 //
 // The merge is a bulk build in three steps. Each input's entries are
-// extracted as compact (priority, key, slot) records and sorted, one input
-// per goroutine. A k-way merge of the sorted runs then walks the union
+// extracted as compact (priority, key, slot) records and radix-sorted, one
+// input per goroutine. A k-way merge of the sorted runs then walks the union
 // from the highest priority down (ties by ascending edge key, then by
 // input order), offering each candidate to an order.Filler until the
 // merged sample is full. Finally the Filler loads the heap while
@@ -87,12 +88,22 @@ func Merge(samplers []*Sampler, cfg Config) (*Sampler, error) {
 		in := nextRun(runs, heads)
 		exclude(runs[in][heads[in]].priority, left)
 	}
+	// Size the node table for the largest input: the merged sample holds
+	// about as many edges, mostly on the same nodes, and a table that
+	// turns out small grows. The inputs' node sum, a strict bound, would
+	// oversize it several times over when the inputs share their nodes, as
+	// window panes do, and every merged snapshot and frozen pane keeps its
+	// table.
+	nodes := 0
+	for _, s := range samplers {
+		nodes = max(nodes, s.res.NumNodes())
+	}
 	// The heap and the adjacency index share no state: build them at once.
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		m.res.adj = graph.BuildAdjacency(edges, slots)
+		m.res.adj = graph.BuildAdjacency(edges, slots, nodes)
 	}()
 	fill.Done()
 	wg.Wait()
@@ -177,12 +188,15 @@ func compareRecords(a, b mergeRecord) int {
 func sortedRuns(samplers []*Sampler, total int) [][]mergeRecord {
 	recs := make([]mergeRecord, total)
 	runs := make([][]mergeRecord, len(samplers))
+	longest := 0
 	for i, s := range samplers {
 		n := s.res.Len()
 		runs[i], recs = recs[:n:n], recs[n:]
+		longest = max(longest, n)
 	}
 	var next atomic.Int64
 	work := func() {
+		var scratch []mergeRecord // one per goroutine, for its longest run
 		for i := int(next.Add(1) - 1); i < len(runs); i = int(next.Add(1) - 1) {
 			h, run := samplers[i].res.heap, runs[i]
 			for j := range run {
@@ -190,7 +204,10 @@ func sortedRuns(samplers []*Sampler, total int) [][]mergeRecord {
 				e := h.BySlot(slot)
 				run[j] = mergeRecord{priority: e.Priority, key: e.Edge.Key(), slot: slot}
 			}
-			slices.SortFunc(run, compareRecords)
+			if scratch == nil {
+				scratch = make([]mergeRecord, longest)
+			}
+			sortRecords(run, scratch)
 		}
 	}
 	var wg sync.WaitGroup
@@ -204,6 +221,62 @@ func sortedRuns(samplers []*Sampler, total int) [][]mergeRecord {
 	work()
 	wg.Wait()
 	return runs
+}
+
+// sortRecords puts one input's records, whose keys are distinct, into
+// merge order, using scratch (at least as long as run) as the second
+// buffer. A stable LSD radix sort with 8-bit digits orders the run by the
+// complemented IEEE bits of the priority: priorities are positive and
+// finite, so their bit patterns order like their values, subnormals
+// included, and the complement turns ascending into descending. A digit
+// every record shares is skipped, so priorities from a narrow range cost
+// fewer passes. Stretches of equal priority are then put into key order by
+// compareRecords.
+func sortRecords(run, scratch []mergeRecord) {
+	if len(run) < 2 {
+		return
+	}
+	sortKey := func(r *mergeRecord) uint64 { return ^math.Float64bits(r.priority) }
+	var counts [8][256]int
+	for i := range run {
+		k := sortKey(&run[i])
+		for d := range counts {
+			counts[d][byte(k>>(8*d))]++
+		}
+	}
+	first := sortKey(&run[0])
+	src, dst := run, scratch[:len(run)]
+	for d := range counts {
+		c := &counts[d]
+		if c[byte(first>>(8*d))] == len(run) {
+			continue // every record has this digit
+		}
+		start := 0
+		for b, n := range c {
+			c[b] = start
+			start += n
+		}
+		shift := 8 * d
+		for i := range src {
+			b := byte(sortKey(&src[i]) >> shift)
+			dst[c[b]] = src[i]
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &run[0] {
+		copy(run, src)
+	}
+	for lo := 0; lo < len(run); {
+		hi := lo + 1
+		for hi < len(run) && run[hi].priority == run[lo].priority {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(run[lo:hi], compareRecords)
+		}
+		lo = hi
+	}
 }
 
 // nextRun returns the index of the run whose head comes first in merge

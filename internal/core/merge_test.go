@@ -266,6 +266,33 @@ func newMergeInputs(t *testing.T, seed uint64) []mergeInputs {
 		out = append(out, mergeInputs{"with-empty", Config{}, []*Sampler{sampler(Config{}, 5, 1), s, sampler(Config{}, 5, 2)}})
 		out = append(out, mergeInputs{"all-empty", Config{}, []*Sampler{sampler(Config{}, 5, 1), sampler(Config{}, 5, 2)}})
 	}
+
+	// Priorities drawn log-uniformly from the subnormals up to ~1e300,
+	// some repeated, over disjoint edge sets: the other families' narrow
+	// priority ranges let the radix sort skip its high digits, and here
+	// every digit varies.
+	{
+		pool := randomEdges(rng, 500, 60, 0)
+		k := 2 + rng.Intn(3)
+		in := make([]*Sampler, k)
+		for i := range in {
+			in[i] = sampler(Config{}, len(pool), seed+uint64(i))
+		}
+		lo, hi := math.Log(math.SmallestNonzeroFloat64), math.Log(1e300)
+		var drawn []float64
+		for _, e := range pool {
+			p := math.Max(math.Exp(lo+(hi-lo)*rng.Uniform01()), math.SmallestNonzeroFloat64)
+			if len(drawn) > 0 && rng.Intn(4) == 0 {
+				p = drawn[rng.Intn(len(drawn))]
+			}
+			drawn = append(drawn, p)
+			in[rng.Intn(k)].res.insert(order.Entry{Edge: e, Weight: 1 + float64(rng.Intn(4)), Priority: p})
+		}
+		for _, s := range in {
+			s.zstar = drawn[rng.Intn(len(drawn))]
+		}
+		out = append(out, mergeInputs{"wide-priorities", Config{}, in})
+	}
 	return out
 }
 

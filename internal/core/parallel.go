@@ -3,6 +3,8 @@ package core
 import (
 	"runtime"
 	"sync"
+
+	"gps/internal/graph"
 )
 
 // estimateWorkers returns the worker count for a parallel estimator scan
@@ -68,4 +70,29 @@ func (s *Sampler) slotProbs() []float64 {
 		probs[slot] = s.probForWeight(s.res.heap.BySlot(slot).Weight)
 	}
 	return probs
+}
+
+// slotEnds builds the slot-indexed endpoint table of the estimation fast
+// path: ends[slot] holds the adjacency dense ids of the U and V endpoints
+// of the edge stored at slot, filled by one pass over the adjacency runs
+// (graph.Adjacency.SlotEnds). The per-edge scans then read both endpoint
+// runs by dense id instead of looking each endpoint up in the node table.
+// Like slotProbs the table is transient, shareable across workers, and
+// invalidated by the next Process; freed slots are left zero and never
+// read.
+func (s *Sampler) slotEnds() [][2]int32 {
+	ends := make([][2]int32, s.res.heap.ArenaLen())
+	s.res.adj.SlotEnds(ends)
+	return ends
+}
+
+// endpointRuns returns the endpoints of the edge stored at slot, U then V,
+// with their neighbor and slot runs, read by dense id from the endpoint
+// table.
+func (s *Sampler) endpointRuns(slot int32, ends [][2]int32) (u graph.NodeID, nu []graph.NodeID, su []int32,
+	v graph.NodeID, nv []graph.NodeID, sv []int32) {
+	e := ends[slot]
+	u, nu, su = s.res.adj.RunAt(int(e[0]))
+	v, nv, sv = s.res.adj.RunAt(int(e[1]))
+	return
 }

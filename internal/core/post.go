@@ -14,9 +14,10 @@ package core
 // Table 1 needs for the post-stream clustering-coefficient intervals.
 //
 // The scan runs on the slot-indexed fast path: one O(m) pass precomputes
-// q(slot) = min{1, w/z*} per heap arena slot (slotProbs), and the inner
-// loops then resolve every enumerated neighbor and triangle edge through
-// the adjacency slot runs — contiguous array reads, zero hash probes.
+// q(slot) = min{1, w/z*} per heap arena slot (slotProbs), another the
+// dense ids of each sampled edge's endpoints (slotEnds), and the inner
+// loops then resolve both endpoint runs and every enumerated neighbor and
+// triangle edge by array reads — zero hash probes.
 // Enumeration and summation order match the lookup-based reference
 // (EstimatePostLookup) exactly, so the results are bit-identical, which the
 // equality tests assert.
@@ -27,7 +28,7 @@ func EstimatePost(s *Sampler) Estimates {
 		return estimatePostDecayed(s)
 	}
 	n := s.res.Len()
-	probs := s.slotProbs()
+	probs, ends := s.slotProbs(), s.slotEnds()
 	workers := estimateWorkers(n)
 	parts := make([]partial, workers)
 	parallelFor(n, workers, func(w, lo, hi int) {
@@ -36,7 +37,7 @@ func EstimatePost(s *Sampler) Estimates {
 		// are needed to avoid false sharing.
 		var local partial
 		for i := lo; i < hi; i++ {
-			local.add(s.estimateEdge(s.res.heap.SlotAt(i), probs))
+			local.add(s.estimateEdge(s.res.heap.SlotAt(i), probs, ends))
 		}
 		parts[w] = local
 	})
@@ -120,23 +121,21 @@ func (p *partial) add(t edgeTotals) {
 //	which instead contribute Ŝ_τ(Ŝ_λ−1); each such pair is added once, at
 //	the triangle edge opposite the wedge.
 //
-// Every probability is read from the slot table: the wedge partner's slot
-// rides alongside the neighbor id in v1's (and v2's) slot run, and triangle
+// Both endpoint runs are read by the dense ids in the endpoint table, and
+// every probability from the slot table: the wedge partner's slot rides
+// alongside the neighbor id in v1's (and v2's) slot run, and triangle
 // detection is a two-pointer merge against v2's run — v1's neighbors arrive
 // in ascending order, so a single monotone cursor into v2's sorted run
 // replaces the per-neighbor hash probe of the membership test and yields
 // the third edge's slot at the match position.
-func (s *Sampler) estimateEdge(slot int32, probs []float64) edgeTotals {
+func (s *Sampler) estimateEdge(slot int32, probs []float64, ends [][2]int32) edgeTotals {
 	var t edgeTotals
-	k := s.res.entryAt(slot).Edge
 	invQ := 1 / probs[slot]
 
 	// Iterate the smaller endpoint's sampled neighborhood for triangle
 	// detection (§3.2 S4); wedges centered at both endpoints are
 	// enumerated in their respective loops.
-	v1, v2 := k.U, k.V
-	n1, s1 := s.res.neighborRun(v1)
-	n2, s2 := s.res.neighborRun(v2)
+	v1, n1, s1, v2, n2, s2 := s.endpointRuns(slot, ends)
 	if len(n1) > len(n2) {
 		v1, v2 = v2, v1
 		n1, s1, n2, s2 = n2, s2, n1, s1

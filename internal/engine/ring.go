@@ -146,17 +146,20 @@ func (r *ring) drainWait() {
 	r.mu.Unlock()
 }
 
-// skipAll discards every queued edge, returning how many were dropped:
-// head jumps to tail and any waiting producers or barriers are woken.
-// Only the consumer side (the shard supervisor, quarantining a poisonous
-// backlog) may call it — head is consumer-owned.
-func (r *ring) skipAll() int {
+// skipAll discards every queued edge: head jumps to tail and any waiting
+// producers or barriers are woken. account is called with the number of
+// edges dropped before the new head is published, under mu, where tail
+// cannot move: a barrier released by the jump therefore already sees
+// whatever account recorded; it must not block. Only the consumer side
+// (the shard supervisor, quarantining a poisonous backlog) may call it —
+// head is consumer-owned.
+func (r *ring) skipAll(account func(skipped uint64)) {
 	r.mu.Lock()
 	head, tail := r.head.Load(), r.tail.Load()
+	account(tail - head)
 	r.head.Store(tail)
 	r.cond.Broadcast()
 	r.mu.Unlock()
-	return int(tail - head)
 }
 
 // close marks the ring closed and wakes the consumer; the consumer drains

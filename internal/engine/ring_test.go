@@ -255,3 +255,34 @@ func TestRingStatsGauges(t *testing.T) {
 		t.Errorf("expected 4 shard gauges, got %d/%d", len(st.Depths), len(st.Epochs))
 	}
 }
+
+// TestRingSkipAllAccountsBeforeRelease pins the order skipAll promises a
+// quarantine: the skipped count is handed to the accounting callback while
+// head still trails tail, so nothing a barrier can observe after the jump
+// predates the accounting.
+func TestRingSkipAllAccountsBeforeRelease(t *testing.T) {
+	r := newRing(8)
+	r.append(make([]graph.Edge, 5))
+	calls := 0
+	r.skipAll(func(skipped uint64) {
+		calls++
+		if skipped != 5 {
+			t.Errorf("skipped %d, want 5", skipped)
+		}
+		if head, tail := r.head.Load(), r.tail.Load(); head >= tail {
+			t.Errorf("accounting ran after the head moved: head %d, tail %d", head, tail)
+		}
+	})
+	if calls != 1 {
+		t.Fatalf("accounting ran %d times, want 1", calls)
+	}
+	if d := r.depth(); d != 0 {
+		t.Fatalf("depth %d after skipAll, want 0", d)
+	}
+	r.drainWait() // returns at once: the ring is empty
+	r.skipAll(func(skipped uint64) {
+		if skipped != 0 {
+			t.Errorf("skipped %d on an empty ring, want 0", skipped)
+		}
+	})
+}

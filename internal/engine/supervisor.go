@@ -151,10 +151,13 @@ func (p *Parallel) recoverShard(idx int, sh *shard, streak *int) {
 	if *streak >= maxPanicStreak {
 		// Deterministically poisonous backlog: replaying it would panic
 		// forever. Discard it (the skip's head store publishes the sampler
-		// swap to any waiting barrier) and resume on fresh traffic.
-		skipped := sh.ring.skipAll()
-		sh.lost.Add(uint64(skipped))
-		sh.degraded.Store(true)
+		// swap to any waiting barrier) and resume on fresh traffic. The
+		// loss is recorded before that store, so a barrier it releases
+		// never reads stale health.
+		sh.ring.skipAll(func(skipped uint64) {
+			sh.lost.Add(skipped)
+			sh.degraded.Store(true)
+		})
 		*streak = 0
 	}
 	p.mu.Unlock()

@@ -12,15 +12,16 @@ import (
 // *currently sampled* graph, which gains and loses edges as the reservoir
 // evolves.
 //
-// Layout: nodes are interned to dense int32 ids on first touch (one flat
-// map lookup per endpoint), and each dense id owns a sorted []NodeID
-// neighbor slice. Dense ids of nodes whose last incident edge is removed
-// are recycled, and their neighbor slices keep their capacity, so a
-// reservoir in steady state (one insert + one evict per arrival) runs
-// allocation-free. Compared to the earlier map[NodeID]map[NodeID]struct{}
-// representation this removes the per-node hash set allocations, makes
-// Neighbors/CommonNeighbors iterate contiguous memory, and gives every
-// query a deterministic (ascending) iteration order.
+// Layout: nodes are interned to dense int32 ids on first touch (one probe
+// of a flat KeyTable per endpoint, node v under key uint64(v)+1), and each
+// dense id owns a sorted []NodeID neighbor slice. Dense ids of nodes whose
+// last incident edge is removed are recycled, and their neighbor slices
+// keep their capacity, so a reservoir in steady state (one insert + one
+// evict per arrival) runs allocation-free. Compared to the earlier
+// map[NodeID]map[NodeID]struct{} representation this removes the per-node
+// hash set allocations, makes Neighbors/CommonNeighbors iterate contiguous
+// memory, and gives every query a deterministic (ascending) iteration
+// order.
 //
 // Space is O(|V̂|+m) as discussed in §3.2 (S4) of the paper. Neighbor
 // lookup is O(log deg); insertion and removal are O(deg) moves within one
@@ -39,11 +40,11 @@ import (
 //
 // The zero value is not usable; construct with NewAdjacency.
 type Adjacency struct {
-	idx   map[NodeID]int32 // intern table: node → dense id
-	nodes []NodeID         // dense id → node
-	nbrs  [][]NodeID       // dense id → sorted neighbors
-	slots [][]int32        // dense id → per-neighbor edge slots, parallel to nbrs
-	freed []int32          // recycled dense ids
+	idx   KeyTable   // intern table: nodeKey(v) → dense id
+	nodes []NodeID   // dense id → node
+	nbrs  [][]NodeID // dense id → sorted neighbors
+	slots [][]int32  // dense id → per-neighbor edge slots, parallel to nbrs
+	freed []int32    // recycled dense ids
 	edges int
 
 	// Backing arrays of the most recent CloneInto into this value, retained
@@ -54,32 +55,34 @@ type Adjacency struct {
 
 // NewAdjacency returns an empty adjacency structure.
 func NewAdjacency() *Adjacency {
-	return &Adjacency{idx: make(map[NodeID]int32)}
+	a := &Adjacency{}
+	a.idx.Init(0)
+	return a
 }
+
+// nodeKey is v's key in the intern table. Node 0 is valid and key 0 marks
+// an empty bucket, hence the offset.
+func nodeKey(v NodeID) uint64 { return uint64(v) + 1 }
+
+// lookup returns v's dense id and whether v is interned.
+func (a *Adjacency) lookup(v NodeID) (int32, bool) { return a.idx.Get(nodeKey(v)) }
 
 // Clone returns a deep copy of the adjacency structure; the clone and the
 // original evolve independently. Neighbor and slot slices are copied into
 // shared backing arrays sized to the live edge count, so the clone costs a
-// few large allocations plus the intern-table copy rather than one
+// few large allocations plus two flat intern-table copies rather than one
 // allocation per node.
 func (a *Adjacency) Clone() *Adjacency { return a.CloneInto(nil) }
 
 // CloneInto is Clone writing over dst, reusing dst's backing arrays (intern
-// map, dense tables, and the shared neighbor/slot backing of a previous
+// table, dense tables, and the shared neighbor/slot backing of a previous
 // CloneInto) when their capacity suffices. dst must not be a itself and
 // must not be referenced anywhere else; nil allocates a fresh structure.
 func (a *Adjacency) CloneInto(dst *Adjacency) *Adjacency {
 	if dst == nil {
 		dst = &Adjacency{}
 	}
-	if dst.idx == nil {
-		dst.idx = make(map[NodeID]int32, len(a.idx))
-	} else {
-		clear(dst.idx)
-	}
-	for v, id := range a.idx {
-		dst.idx[v] = id
-	}
+	a.idx.CloneInto(&dst.idx)
 	dst.nodes = append(dst.nodes[:0], a.nodes...)
 	dst.freed = append(dst.freed[:0], a.freed...)
 	dst.edges = a.edges
@@ -126,8 +129,8 @@ func (a *Adjacency) CloneInto(dst *Adjacency) *Adjacency {
 // Remove. Together with RestoreAdjacency this is the durability surface of
 // the topology index: dense-id assignment (including the recycling history
 // baked into freed) determines estimator iteration order, so it must
-// survive a checkpoint bit for bit. The intern map is not exported — it is
-// derivable, and RestoreAdjacency rebuilds it.
+// survive a checkpoint bit for bit. The intern table is not exported — it
+// is derivable, and RestoreAdjacency rebuilds it.
 //
 // nodes entries at freed ids are stale values from released nodes; encoders
 // must normalize them (write 0) so serialized state is a function of live
@@ -170,13 +173,8 @@ func RestoreAdjacency(nodes []NodeID, freed []int32, nbrs [][]NodeID, slots [][]
 			return nil, fmt.Errorf("graph: freed id %d has a non-zero node", id)
 		}
 	}
-	a := &Adjacency{
-		idx:   make(map[NodeID]int32, n-len(freed)),
-		nodes: nodes,
-		nbrs:  nbrs,
-		slots: slots,
-		freed: freed,
-	}
+	a := &Adjacency{nodes: nodes, nbrs: nbrs, slots: slots, freed: freed}
+	a.idx.Init(n - len(freed))
 	half := 0
 	for id := 0; id < n; id++ {
 		if isFreed[id] {
@@ -189,10 +187,9 @@ func RestoreAdjacency(nodes []NodeID, freed []int32, nbrs [][]NodeID, slots [][]
 		if len(sl) != len(run) {
 			return nil, fmt.Errorf("graph: id %d has %d neighbors but %d slots", id, len(run), len(sl))
 		}
-		if _, dup := a.idx[v]; dup {
+		if _, stored := a.idx.PutIfAbsent(nodeKey(v), int32(id)); !stored {
 			return nil, fmt.Errorf("graph: node %d interned twice", v)
 		}
-		a.idx[v] = int32(id)
 		for j, u := range run {
 			if u == v {
 				return nil, fmt.Errorf("graph: self loop at node %d", v)
@@ -210,7 +207,7 @@ func RestoreAdjacency(nodes []NodeID, freed []int32, nbrs [][]NodeID, slots [][]
 		}
 		v := nodes[id]
 		for j, u := range nbrs[id] {
-			uid, ok := a.idx[u]
+			uid, ok := a.lookup(u)
 			if !ok {
 				return nil, fmt.Errorf("graph: node %d lists neighbor %d, which is not interned", v, u)
 			}
@@ -236,18 +233,18 @@ func RestoreAdjacency(nodes []NodeID, freed []int32, nbrs [][]NodeID, slots [][]
 // exactly. Degrees are counted first; each run is then filled into one
 // shared CSR backing array (per-node runs cut from one array, with the
 // full-length caps CloneInto uses) and sorted in place. edges must be
-// distinct canonical edges and slots as long as edges.
-func BuildAdjacency(edges []Edge, slots []int32) *Adjacency {
-	// A sparse sample touches about one new node per edge.
-	a := &Adjacency{idx: make(map[NodeID]int32, len(edges))}
+// distinct canonical edges and slots as long as edges. nodeHint is the
+// expected number of distinct endpoints; it sizes the intern table and the
+// dense tables, which grow past it when needed.
+func BuildAdjacency(edges []Edge, slots []int32, nodeHint int) *Adjacency {
+	a := &Adjacency{nodes: make([]NodeID, 0, nodeHint)}
+	a.idx.Init(nodeHint)
 	ends := make([]int32, 2*len(edges)) // dense ids of U and V per edge
-	var deg []int32
+	deg := make([]int32, 0, nodeHint)
 	for i, e := range edges {
 		for j, v := range [2]NodeID{e.U, e.V} {
-			id, ok := a.idx[v]
-			if !ok {
-				id = int32(len(a.nodes))
-				a.idx[v] = id
+			id, isNew := a.idx.PutIfAbsent(nodeKey(v), int32(len(a.nodes)))
+			if isNew {
 				a.nodes = append(a.nodes, v)
 				deg = append(deg, 0)
 			}
@@ -291,30 +288,32 @@ func BuildAdjacency(edges []Edge, slots []int32) *Adjacency {
 	return a
 }
 
-// intern returns the dense id of v, allocating one if v is new.
+// intern returns the dense id of v, allocating one if v is new: the top
+// of the free list, or else the next id past the dense tables.
 func (a *Adjacency) intern(v NodeID) int32 {
-	if id, ok := a.idx[v]; ok {
+	next := int32(len(a.nodes))
+	if n := len(a.freed); n > 0 {
+		next = a.freed[n-1]
+	}
+	id, isNew := a.idx.PutIfAbsent(nodeKey(v), next)
+	if !isNew {
 		return id
 	}
-	var id int32
 	if n := len(a.freed); n > 0 {
-		id = a.freed[n-1]
 		a.freed = a.freed[:n-1]
 		a.nodes[id] = v
 	} else {
-		id = int32(len(a.nodes))
 		a.nodes = append(a.nodes, v)
 		a.nbrs = append(a.nbrs, nil)
 		a.slots = append(a.slots, nil)
 	}
-	a.idx[v] = id
 	return id
 }
 
 // release drops v from the intern table, recycling its dense id and keeping
 // the neighbor/slot slices' capacity for the next node interned.
 func (a *Adjacency) release(v NodeID, id int32) {
-	delete(a.idx, v)
+	a.idx.Del(nodeKey(v))
 	a.nbrs[id] = a.nbrs[id][:0]
 	a.slots[id] = a.slots[id][:0]
 	a.freed = append(a.freed, id)
@@ -392,7 +391,7 @@ func (a *Adjacency) AddWithSlot(e Edge, slot int32) bool {
 // last incident edge is removed are dropped entirely so that the node count
 // tracks the sampled subgraph.
 func (a *Adjacency) Remove(e Edge) bool {
-	iu, ok := a.idx[e.U]
+	iu, ok := a.lookup(e.U)
 	if !ok {
 		return false
 	}
@@ -402,7 +401,7 @@ func (a *Adjacency) Remove(e Edge) bool {
 	if len(a.nbrs[iu]) == 0 {
 		a.release(e.U, iu)
 	}
-	iv := a.idx[e.V]
+	iv, _ := a.lookup(e.V)
 	a.removeHalf(iv, e.U)
 	if len(a.nbrs[iv]) == 0 {
 		a.release(e.V, iv)
@@ -412,7 +411,7 @@ func (a *Adjacency) Remove(e Edge) bool {
 }
 
 func (a *Adjacency) neighborsOf(v NodeID) []NodeID {
-	if id, ok := a.idx[v]; ok {
+	if id, ok := a.lookup(v); ok {
 		return a.nbrs[id]
 	}
 	return nil
@@ -427,7 +426,7 @@ func (a *Adjacency) Has(e Edge) bool {
 
 // HasNode reports whether v has at least one incident edge.
 func (a *Adjacency) HasNode(v NodeID) bool {
-	_, ok := a.idx[v]
+	_, ok := a.lookup(v)
 	return ok
 }
 
@@ -435,7 +434,7 @@ func (a *Adjacency) HasNode(v NodeID) bool {
 func (a *Adjacency) Degree(v NodeID) int { return len(a.neighborsOf(v)) }
 
 // NumNodes returns the number of nodes with at least one incident edge.
-func (a *Adjacency) NumNodes() int { return len(a.idx) }
+func (a *Adjacency) NumNodes() int { return a.idx.Len() }
 
 // NumEdges returns the number of edges currently stored.
 func (a *Adjacency) NumEdges() int { return a.edges }
@@ -455,7 +454,7 @@ func (a *Adjacency) Neighbors(v NodeID, fn func(NodeID) bool) {
 // internal storage: callers must treat them as read-only, and they are
 // invalidated by the next Add or Remove. Absent nodes return nil runs.
 func (a *Adjacency) NeighborRun(v NodeID) (nbrs []NodeID, slots []int32) {
-	if id, ok := a.idx[v]; ok {
+	if id, ok := a.lookup(v); ok {
 		return a.nbrs[id], a.slots[id]
 	}
 	return nil, nil
@@ -484,6 +483,25 @@ func (a *Adjacency) DenseLen() int { return len(a.nbrs) }
 // read-only/invalidation contract as NeighborRun.
 func (a *Adjacency) RunAt(id int) (NodeID, []NodeID, []int32) {
 	return a.nodes[id], a.nbrs[id], a.slots[id]
+}
+
+// SlotEnds is the endpoint pass of slot-indexed estimation: one walk over
+// the runs that sets ends[s] to the dense ids of the U and V endpoints of
+// the edge annotated with slot s, so RunAt can read both endpoint runs
+// without a lookup. In the run of node v, the half-edge to u gives U's id
+// when v < u and V's id otherwise. Every annotation must index ends (plain
+// Add's -1 does not); entries no edge carries are left as they were.
+func (a *Adjacency) SlotEnds(ends [][2]int32) {
+	for id, run := range a.nbrs {
+		v, sl := a.nodes[id], a.slots[id]
+		for j, u := range run {
+			if v < u {
+				ends[sl[j]][0] = int32(id)
+			} else {
+				ends[sl[j]][1] = int32(id)
+			}
+		}
+	}
 }
 
 // CommonNeighbors calls fn for each node adjacent to both u and v, in

@@ -32,7 +32,7 @@ func TestBuildAdjacencyMatchesAddWithSlot(t *testing.T) {
 		for i, e := range edges {
 			seq.AddWithSlot(e, slots[i])
 		}
-		bulk := BuildAdjacency(edges, slots)
+		bulk := BuildAdjacency(edges, slots, int(seed%3)*nodes/2) // hints of 0, ½ and 1× the nodes
 		requireSameDense(t, bulk, seq)
 
 		restored, err := RestoreAdjacency(exportDenseCopy(bulk))

@@ -1,8 +1,10 @@
 // Package graph defines the graph model shared by every subsystem of the GPS
 // reproduction: node identifiers, canonical undirected edges, a dynamic
-// adjacency structure used for reservoir topology queries, a compact static
-// CSR representation used by the exact counters, and a deduplicating edge-set
-// builder used by the synthetic generators.
+// adjacency structure used for reservoir topology queries, the flat
+// open-addressing key table that interns the adjacency's nodes and indexes
+// the reservoir heap's edges, a compact static CSR representation used by
+// the exact counters, and a deduplicating edge-set builder used by the
+// synthetic generators.
 //
 // The paper (§6) evaluates on "undirected, unweighted, simplified" graphs,
 // i.e. no self loops and no duplicate edges; every type in this package

@@ -1,6 +1,11 @@
 package graph
 
-import "testing"
+import (
+	"slices"
+	"testing"
+
+	"gps/internal/randx"
+)
 
 func TestAdjacencySlotRuns(t *testing.T) {
 	a := NewAdjacency()
@@ -125,5 +130,111 @@ func TestAdjacencyCloneIntoReuse(t *testing.T) {
 	a.Remove(NewEdge(1, 7))
 	if !c2.Has(NewEdge(1, 7)) {
 		t.Fatal("clone lost an edge when the source changed")
+	}
+}
+
+// requireSlotEnds checks the endpoint pass against a lookup of every live
+// edge: ends[s] must hold the dense ids of U and V for the edge carrying
+// slot s, and the entries of slots no edge carries must keep the sentinel
+// they started with.
+func requireSlotEnds(t *testing.T, what string, a *Adjacency, live map[Edge]int32, arena int) {
+	t.Helper()
+	ends := make([][2]int32, arena)
+	for s := range ends {
+		ends[s] = [2]int32{-1, -1}
+	}
+	a.SlotEnds(ends)
+	carried := make([]bool, arena)
+	for e, s := range live {
+		carried[s] = true
+		iu, oku := a.lookup(e.U)
+		iv, okv := a.lookup(e.V)
+		if !oku || !okv || ends[s] != [2]int32{iu, iv} {
+			t.Fatalf("%s: edge %v at slot %d: ends %v, lookup (%d, %d)", what, e, s, ends[s], iu, iv)
+		}
+	}
+	for s, c := range carried {
+		if !c && ends[s] != [2]int32{-1, -1} {
+			t.Fatalf("%s: slot %d carries no edge but ends[%d] = %v", what, s, s, ends[s])
+		}
+	}
+}
+
+// TestSlotEndsMatchLookup runs the endpoint pass after insert/evict/delete
+// churn that recycles dense ids and arena-like slots, after BuildAdjacency,
+// after RestoreAdjacency, and on clones, over node ids that include 0 and
+// the largest NodeID.
+func TestSlotEndsMatchLookup(t *testing.T) {
+	for seed := uint64(1); seed <= 10; seed++ {
+		rng := randx.New(seed)
+		node := func() NodeID {
+			switch rng.Intn(12) {
+			case 0:
+				return 0
+			case 1:
+				return 0xFFFFFFFF
+			}
+			return NodeID(1 + rng.Intn(40))
+		}
+		a := NewAdjacency()
+		live := map[Edge]int32{}
+		var order []Edge // live edges, oldest first: the "eviction" order
+		var free []int32 // recycled slots, as a heap arena recycles them
+		arena := 0
+		for step := range 600 {
+			u, v := node(), node()
+			switch {
+			case u != v && rng.Intn(3) > 0:
+				e := NewEdge(u, v)
+				if _, in := live[e]; in {
+					continue
+				}
+				s := int32(arena)
+				if n := len(free); n > 0 {
+					s, free = free[n-1], free[:n-1]
+				} else {
+					arena++
+				}
+				a.AddWithSlot(e, s)
+				live[e] = s
+				order = append(order, e)
+			case len(order) > 0:
+				// Evict the oldest edge, or delete a random one.
+				i := 0
+				if rng.Intn(2) == 0 {
+					i = rng.Intn(len(order))
+				}
+				e := order[i]
+				order = append(order[:i], order[i+1:]...)
+				a.Remove(e)
+				free = append(free, live[e])
+				delete(live, e)
+			}
+			if step%50 == 0 {
+				requireSlotEnds(t, "churn", a, live, arena)
+			}
+		}
+		requireSlotEnds(t, "churn", a, live, arena)
+
+		c := a.Clone()
+		requireSlotEnds(t, "clone", c, live, arena)
+		a.Remove(order[0]) // the clone is independent of its source
+		requireSlotEnds(t, "clone after source change", c, live, arena)
+		delete(live, order[0])
+		order = order[1:]
+		requireSlotEnds(t, "recycled clone", a.CloneInto(c), live, arena)
+
+		r, err := RestoreAdjacency(exportDenseCopy(a))
+		if err != nil {
+			t.Fatalf("seed %d: restore: %v", seed, err)
+		}
+		requireSlotEnds(t, "restore", r, live, arena)
+
+		edges := slices.Clone(order)
+		slots := make([]int32, len(edges))
+		for i, e := range edges {
+			slots[i] = live[e]
+		}
+		requireSlotEnds(t, "build", BuildAdjacency(edges, slots, a.NumNodes()), live, arena)
 	}
 }

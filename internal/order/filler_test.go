@@ -1,6 +1,7 @@
 package order
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
@@ -74,8 +75,7 @@ func requireSameHeap(t *testing.T, a, b *Heap) {
 		!slices.Equal(a.heap, b.heap) || !slices.Equal(a.pos, b.pos) {
 		t.Fatal("heap arrays differ")
 	}
-	if !slices.Equal(a.tab.keys, b.tab.keys) || !slices.Equal(a.tab.slots, b.tab.slots) ||
-		a.tab.used != b.tab.used || a.tab.mask != b.tab.mask {
+	if !reflect.DeepEqual(a.tab, b.tab) {
 		t.Fatal("key tables differ")
 	}
 }

@@ -13,10 +13,11 @@
 // Layout: entries live in a flat arena addressed by stable slot ids and
 // never move; the heap itself is an array of int32 slot ids ordered by
 // priority, so sift operations move 4-byte ids instead of 48-byte entries
-// and touch no index. The edge-key index is a single open-addressing table
-// (linear probing, backward-shift deletion) instead of a Go map, which
-// removes the per-operation map overhead from the sampler's hot path:
-// steady-state Push/PopMin cycles are allocation-free.
+// and touch no index. The edge-key index is graph.KeyTable, the flat
+// open-addressing table (linear probing, backward-shift deletion) that also
+// interns the adjacency's nodes: it keeps per-operation map overhead off
+// the sampler's hot path, and steady-state Push/PopMin cycles are
+// allocation-free.
 package order
 
 import (
@@ -25,7 +26,6 @@ import (
 	"slices"
 
 	"gps/internal/graph"
-	"gps/internal/randx"
 )
 
 // Entry is the reservoir record of one sampled edge.
@@ -47,11 +47,11 @@ type Entry struct {
 // Pointers returned by Get/At/Min are valid only until the next Push or
 // PopMin: a Push may grow the arena, and a PopMin recycles the popped slot.
 type Heap struct {
-	arena []Entry // slot id → entry; entries do not move within a slot
-	freed []int32 // recycled slot ids
-	heap  []int32 // slot ids, heap-ordered by arena[slot].Priority
-	pos   []int32 // slot id → heap position, parallel to arena; stale at freed slots
-	tab   keyTable
+	arena []Entry        // slot id → entry; entries do not move within a slot
+	freed []int32        // recycled slot ids
+	heap  []int32        // slot ids, heap-ordered by arena[slot].Priority
+	pos   []int32        // slot id → heap position, parallel to arena; stale at freed slots
+	tab   graph.KeyTable // edge key → arena slot
 }
 
 // NewHeap returns an empty heap with capacity hint n.
@@ -61,7 +61,7 @@ func NewHeap(n int) *Heap {
 		heap:  make([]int32, 0, n+1),
 		pos:   make([]int32, 0, n+1),
 	}
-	h.tab.init(n + 1)
+	h.tab.Init(n + 1)
 	return h
 }
 
@@ -84,13 +84,7 @@ func (h *Heap) CloneInto(dst *Heap) *Heap {
 	dst.freed = append(dst.freed[:0], h.freed...)
 	dst.heap = append(dst.heap[:0], h.heap...)
 	dst.pos = append(dst.pos[:0], h.pos...)
-	// The probe sequence wraps with mask, so the key/slot slices must have
-	// exactly the source table's length; append onto [:0] guarantees that
-	// while keeping any larger recycled capacity.
-	dst.tab.keys = append(dst.tab.keys[:0], h.tab.keys...)
-	dst.tab.slots = append(dst.tab.slots[:0], h.tab.slots...)
-	dst.tab.used = h.tab.used
-	dst.tab.mask = h.tab.mask
+	h.tab.CloneInto(&dst.tab)
 	return dst
 }
 
@@ -149,7 +143,7 @@ func RestoreHeap(arena []Entry, freed, heapOrder []int32) (*Heap, error) {
 		}
 	}
 	h := &Heap{arena: arena, freed: freed, heap: heapOrder, pos: make([]int32, n)}
-	h.tab.init(len(heapOrder) + 1)
+	h.tab.Init(len(heapOrder) + 1)
 	for i, slot := range heapOrder {
 		if err := mark(slot); err != nil {
 			return nil, err
@@ -176,10 +170,10 @@ func RestoreHeap(arena []Entry, freed, heapOrder []int32) (*Heap, error) {
 			}
 		}
 		key := ent.Edge.Key()
-		if _, dup := h.tab.get(key); dup {
+		if _, dup := h.tab.Get(key); dup {
 			return nil, fmt.Errorf("order: duplicate edge %v", ent.Edge)
 		}
-		h.tab.put(key, slot)
+		h.tab.Put(key, slot)
 	}
 	return h, nil
 }
@@ -189,7 +183,7 @@ func (h *Heap) Len() int { return len(h.heap) }
 
 // Contains reports whether the edge with the given key is stored.
 func (h *Heap) Contains(key uint64) bool {
-	_, ok := h.tab.get(key)
+	_, ok := h.tab.Get(key)
 	return ok
 }
 
@@ -197,7 +191,7 @@ func (h *Heap) Contains(key uint64) bool {
 // be used to read the weight or update the covariance accumulators; it is
 // invalidated by the next Push or PopMin.
 func (h *Heap) Get(key uint64) *Entry {
-	slot, ok := h.tab.get(key)
+	slot, ok := h.tab.Get(key)
 	if !ok {
 		return nil
 	}
@@ -250,7 +244,7 @@ func (h *Heap) Push(e Entry) int32 {
 		// model already forbids (self loop at node 0).
 		panic("order: non-canonical zero edge pushed")
 	}
-	if _, dup := h.tab.get(key); dup {
+	if _, dup := h.tab.Get(key); dup {
 		panic("order: duplicate edge pushed: " + e.Edge.String())
 	}
 	var slot int32
@@ -263,7 +257,7 @@ func (h *Heap) Push(e Entry) int32 {
 		h.arena = append(h.arena, e)
 		h.pos = append(h.pos, 0)
 	}
-	h.tab.put(key, slot)
+	h.tab.Put(key, slot)
 	h.heap = append(h.heap, slot)
 	h.pos[slot] = int32(len(h.heap) - 1)
 	h.siftUp(int32(len(h.heap) - 1))
@@ -285,7 +279,7 @@ func (h *Heap) PopMin() Entry {
 	if last > 0 {
 		h.siftDown(0)
 	}
-	h.tab.del(min.Edge.Key())
+	h.tab.Del(min.Edge.Key())
 	h.freed = append(h.freed, slot)
 	return min
 }
@@ -297,7 +291,7 @@ func (h *Heap) PopMin() Entry {
 // exactly as PopMin recycles the root's. Returns the removed entry and
 // whether the key was present; an absent key leaves the heap untouched.
 func (h *Heap) Remove(key uint64) (Entry, bool) {
-	slot, ok := h.tab.get(key)
+	slot, ok := h.tab.Get(key)
 	if !ok {
 		return Entry{}, false
 	}
@@ -313,7 +307,7 @@ func (h *Heap) Remove(key uint64) (Entry, bool) {
 		h.siftDown(i)
 		h.siftUp(i)
 	}
-	h.tab.del(key)
+	h.tab.Del(key)
 	h.freed = append(h.freed, slot)
 	return removed, true
 }
@@ -357,7 +351,7 @@ func (f *Filler) Offer(key uint64, src *Entry) (int32, bool) {
 		panic("order: non-canonical zero edge pushed") // see Push
 	}
 	slot := int32(len(f.src))
-	if !f.h.tab.putIfAbsent(key, slot) {
+	if _, stored := f.h.tab.PutIfAbsent(key, slot); !stored {
 		return 0, false
 	}
 	f.src = append(f.src, src)
@@ -431,157 +425,4 @@ func (h *Heap) siftDown(i int32) {
 		h.pos[h.heap[smallest]] = smallest
 		i = smallest
 	}
-}
-
-// keyTable is an open-addressing hash table from edge key to arena slot,
-// using linear probing with backward-shift deletion (no tombstones). The
-// zero edge key is impossible for canonical edges (U < V forces V ≥ 1), so
-// key 0 marks an empty bucket.
-type keyTable struct {
-	keys  []uint64
-	slots []int32
-	used  int
-	mask  uint64
-}
-
-// hashKey mixes the edge key with the splitmix64 finalizer so that the
-// structured (U<<32|V) keys spread over the low bits used for bucketing.
-func hashKey(k uint64) uint64 { return randx.Mix64(k) }
-
-func (t *keyTable) init(hint int) {
-	size := 16
-	for size < 2*hint {
-		size *= 2
-	}
-	t.keys = make([]uint64, size)
-	t.slots = make([]int32, size)
-	t.used = 0
-	t.mask = uint64(size - 1)
-}
-
-func (t *keyTable) get(key uint64) (int32, bool) {
-	if key == 0 {
-		return 0, false // 0 marks empty buckets and is never stored
-	}
-	i := hashKey(key) & t.mask
-	for {
-		k := t.keys[i]
-		if k == key {
-			return t.slots[i], true
-		}
-		if k == 0 {
-			return 0, false
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
-func (t *keyTable) put(key uint64, slot int32) {
-	if 4*(t.used+1) > 3*len(t.keys) {
-		t.grow()
-	}
-	i := hashKey(key) & t.mask
-	for t.keys[i] != 0 {
-		i = (i + 1) & t.mask
-	}
-	t.keys[i] = key
-	t.slots[i] = slot
-	t.used++
-}
-
-// putIfAbsent stores key → slot unless key is present, reporting whether
-// it stored. It probes the chain once and leaves the table exactly as get
-// followed by put would.
-func (t *keyTable) putIfAbsent(key uint64, slot int32) bool {
-	i := hashKey(key) & t.mask
-	for {
-		k := t.keys[i]
-		if k == key {
-			return false
-		}
-		if k == 0 {
-			break
-		}
-		i = (i + 1) & t.mask
-	}
-	if 4*(t.used+1) > 3*len(t.keys) {
-		t.put(key, slot) // grows first, then probes the resized table
-		return true
-	}
-	t.keys[i] = key
-	t.slots[i] = slot
-	t.used++
-	return true
-}
-
-func (t *keyTable) grow() {
-	oldKeys, oldSlots := t.keys, t.slots
-	size := 2 * len(oldKeys)
-	t.keys = make([]uint64, size)
-	t.slots = make([]int32, size)
-	t.mask = uint64(size - 1)
-	for i, k := range oldKeys {
-		if k == 0 {
-			continue
-		}
-		j := hashKey(k) & t.mask
-		for t.keys[j] != 0 {
-			j = (j + 1) & t.mask
-		}
-		t.keys[j] = k
-		t.slots[j] = oldSlots[i]
-	}
-}
-
-// del removes key using backward-shift deletion: subsequent probe-chain
-// members whose home bucket precedes the vacated one are shifted back so
-// that every surviving key stays reachable without tombstones.
-func (t *keyTable) del(key uint64) {
-	if key == 0 {
-		return // 0 marks empty buckets and is never stored
-	}
-	i := hashKey(key) & t.mask
-	for {
-		k := t.keys[i]
-		if k == key {
-			break
-		}
-		if k == 0 {
-			return // absent; nothing to delete
-		}
-		i = (i + 1) & t.mask
-	}
-	t.used--
-	j := i
-	for {
-		t.keys[i] = 0
-		for {
-			j = (j + 1) & t.mask
-			k := t.keys[j]
-			if k == 0 {
-				return
-			}
-			home := hashKey(k) & t.mask
-			// Shift k back iff its home bucket lies outside the cyclic
-			// interval (i, j] — i.e. the vacated bucket i sits between
-			// home and j, so probing for k would stop early at i.
-			if cyclicBetween(home, i, j) {
-				continue
-			}
-			break
-		}
-		t.keys[i] = t.keys[j]
-		t.slots[i] = t.slots[j]
-		i = j
-	}
-}
-
-// cyclicBetween reports whether lo < x ≤ hi in cyclic bucket order, i.e.
-// whether x lies strictly after lo and at or before hi when walking the
-// table forward from lo.
-func cyclicBetween(x, lo, hi uint64) bool {
-	if lo <= hi {
-		return lo < x && x <= hi
-	}
-	return lo < x || x <= hi
 }

@@ -131,16 +131,14 @@ func checkInvariant(t *testing.T, h *Heap) {
 			t.Fatalf("heap invariant broken at %d", i)
 		}
 	}
-	for i, key := range h.tab.keys {
-		if key == 0 {
-			continue
-		}
-		if h.arena[h.tab.slots[i]].Edge.Key() != key {
+	for _, slot := range h.heap {
+		key := h.arena[slot].Edge.Key()
+		if got, ok := h.tab.Get(key); !ok || got != slot {
 			t.Fatalf("index invariant broken for key %d", key)
 		}
 	}
-	if h.tab.used != h.Len() {
-		t.Fatalf("index size %d != heap size %d", h.tab.used, h.Len())
+	if h.tab.Len() != h.Len() {
+		t.Fatalf("index size %d != heap size %d", h.tab.Len(), h.Len())
 	}
 	if len(h.arena) != h.Len()+len(h.freed) {
 		t.Fatalf("arena size %d != live %d + freed %d", len(h.arena), h.Len(), len(h.freed))
@@ -166,7 +164,7 @@ func TestInvariantUnderRandomOps(t *testing.T) {
 				return false
 			}
 		}
-		return h.tab.used == h.Len()
+		return h.tab.Len() == h.Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -179,6 +179,9 @@ func (s *Server) registerTenantMetrics(t *tenant) {
 		"Refreshes that reused the previous snapshot's estimates (only duplicates arrived).", t.snaps.met.estReuse, l...)
 	s.reg.RegisterCounter("gps_serve_snapshot_deadline_stale_total",
 		"Queries served the previous snapshot because a refresh missed the deadline.", t.snaps.met.staleServe, l...)
+	s.reg.RegisterHistogram("gps_serve_snapshot_estimate_seconds",
+		"Algorithm 2 (core.EstimatePost) per snapshot refresh that computes estimates; reused estimates are not timed.",
+		t.snaps.met.estimate, l...)
 
 	// Degradation and overload protection.
 	s.reg.RegisterCounterFunc("gps_serve_shed_total",

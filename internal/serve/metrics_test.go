@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"gps/internal/core"
 	"gps/internal/gen"
 	"gps/internal/graph"
 	"gps/internal/obs"
@@ -145,6 +146,9 @@ func TestServeMetricsFourLayers(t *testing.T) {
 	}
 	if got := value("gps_serve_snapshot_age_seconds_count"); got != 1 {
 		t.Fatalf("snapshot age observations = %g, want 1 (one estimate served)", got)
+	}
+	if got := value("gps_serve_snapshot_estimate_seconds_count"); obs.Enabled && got != 1 {
+		t.Fatalf("Algorithm 2 observations = %g, want 1 (one refresh computed estimates)", got)
 	}
 
 	// The same quantities through the JSON plane agree.
@@ -375,5 +379,34 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 	}
 	if got, _ := metricValue(scrape, "gps_serve_edges_processed_total"); got != want {
 		t.Fatalf("edges_processed = %g, want %g", got, want)
+	}
+}
+
+// TestSnapshotEstimateHistogram checks what the Algorithm 2 histogram
+// times: a refresh that computes estimates is observed once, and a refresh
+// that reuses them (only duplicates reached the sampler) is not observed.
+func TestSnapshotEstimateHistogram(t *testing.T) {
+	if !obs.Enabled {
+		t.Skip("timers are compiled out in gps_noobs builds")
+	}
+	s, err := core.NewSampler(core.Config{Capacity: 64, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.ProcessBatch(gen.ErdosRenyi(50, 200, 4))
+	// The position runs ahead of the sampler's arrivals, as duplicate
+	// edges make it, so every forced-fresh query refreshes.
+	c := newSnapshotCache(func() (*core.Sampler, error) { return s, nil },
+		func() uint64 { return s.Arrivals() + 1 }, nil)
+	for i, want := range []struct{ estimates, reused uint64 }{{1, 0}, {1, 1}} {
+		if _, _, err := c.get(0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.met.estimate.Count(); got != want.estimates {
+			t.Fatalf("query %d: %d Algorithm 2 observations, want %d", i, got, want.estimates)
+		}
+		if got := c.met.estReuse.Value(); got != want.reused {
+			t.Fatalf("query %d: %d estimate reuses, want %d", i, got, want.reused)
+		}
 	}
 }

@@ -83,14 +83,16 @@ type refreshOp struct {
 // cacheMetrics counts how the cache answered: hits (served an existing
 // snapshot), refreshes (took a new one), forced-fresh demands (max_stale=0),
 // refreshes cheap enough to reuse the previous estimates, and deadline
-// expiries served from the stale fallback. The server registers them; the
-// cache records them.
+// expiries served from the stale fallback; estimate times the Algorithm 2
+// run of each refresh that computes estimates. The server registers them;
+// the cache records them.
 type cacheMetrics struct {
 	hits       *obs.Counter
 	refreshes  *obs.Counter
 	forced     *obs.Counter
 	estReuse   *obs.Counter
 	staleServe *obs.Counter
+	estimate   *obs.Histogram // core.EstimatePost per refresh, ns
 }
 
 func newSnapshotCache(take func() (*core.Sampler, error), position func() uint64, degraded func() bool) *snapshotCache {
@@ -107,6 +109,7 @@ func newSnapshotCache(take func() (*core.Sampler, error), position func() uint64
 			forced:     obs.NewCounter(),
 			estReuse:   obs.NewCounter(),
 			staleServe: obs.NewCounter(),
+			estimate:   obs.NewHistogram(obs.Latency()),
 		},
 	}
 }
@@ -211,7 +214,9 @@ func (c *snapshotCache) refresh(op *refreshOp, gen uint64) {
 		est = prev.est
 		c.met.estReuse.Inc()
 	} else {
+		start := obs.Start()
 		est = core.EstimatePost(sampler)
+		c.met.estimate.ObserveSince(start)
 	}
 	c.finishInstall(op, &snapshot{sampler: sampler, est: est, taken: taken, degraded: degraded}, gen)
 }

@@ -331,6 +331,7 @@ func (s *Server) metricsPartition() (statsCovered, metricsOnly []string) {
 		"gps_serve_snapshot_cache_hits_total",
 		"gps_serve_snapshot_deadline_stale_total",
 		"gps_serve_snapshot_estimate_reuse_total",
+		"gps_serve_snapshot_estimate_seconds",
 		"gps_serve_snapshot_forced_fresh_total",
 		"gps_serve_snapshot_refresh_total",
 	}
