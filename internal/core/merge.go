@@ -37,10 +37,10 @@ import (
 // functional sampler: it can keep processing edges or feed any estimator.
 //
 // The merge is a bulk build in three steps. Each input's entries are
-// extracted as compact (priority, key, slot) records and radix-sorted, one
-// input per goroutine. A k-way merge of the sorted runs then walks the union
-// from the highest priority down (ties by ascending edge key, then by
-// input order), offering each candidate to an order.Filler until the
+// extracted as compact (priority, key, slot) records and radix-sorted into
+// a Run, one input per goroutine. A k-way merge of the runs then walks the
+// union from the highest priority down (ties by ascending edge key, then
+// by input order), offering each candidate to an order.Filler until the
 // merged sample is full. Finally the Filler loads the heap while
 // graph.BuildAdjacency indexes the stored edges on a second goroutine.
 // The result is bit-identical to pushing the candidates one by one, in
@@ -48,6 +48,25 @@ import (
 // dense node ids, neighbor and slot runs, threshold and counters. The
 // package tests check this against exactly that loop (mergeReference).
 func Merge(samplers []*Sampler, cfg Config) (*Sampler, error) {
+	return MergeRuns(NewRuns(samplers), cfg, 0)
+}
+
+// MergeRuns is Merge over prebuilt runs, with a cut: it skips every record
+// whose stored event time lies in (0, cut], and cut 0 skips none. A
+// skipped record is neither offered nor excluded: it adds nothing to z*,
+// and once the merged sample is full, the final exclusion takes the
+// highest unread record the cut keeps. The result is, bit for bit, what
+// deleting the skipped records from clones of the inputs through the
+// turnstile path and merging those gives, apart from the deletion
+// counters: a cut is no stream deletion, so they stay the inputs' sums.
+// The survivors keep their weights, and so their inclusion probabilities,
+// as a window boundary needs. Only a run whose smallest event time is at
+// or below the cut is filtered; the others are read as they are.
+func MergeRuns(runs []*Run, cfg Config, cut uint64) (*Sampler, error) {
+	samplers := make([]*Sampler, len(runs))
+	for i, r := range runs {
+		samplers[i] = r.s
+	}
 	m, total, err := mergeShell(samplers, cfg)
 	if err != nil {
 		return nil, err
@@ -64,29 +83,43 @@ func Merge(samplers []*Sampler, cfg Config) (*Sampler, error) {
 		}
 	}
 
-	runs := sortedRuns(samplers, total)
 	heads := make([]int, len(runs))
-	n := min(total, cfg.Capacity)
+	for i, r := range runs {
+		heads[i] = r.next(0, cut)
+	}
+	n := min(total, cfg.Capacity) // total counts the records the cut skips too
 	fill := m.res.heap.Filler(n)
 	edges := make([]graph.Edge, 0, n)
 	slots := make([]int32, 0, n)
-	left := total
-	for ; left > 0 && len(slots) < cfg.Capacity; left-- {
+	for len(slots) < cfg.Capacity {
 		in := nextRun(runs, heads)
-		rec := runs[in][heads[in]]
-		heads[in]++
-		if slot, ok := fill.Offer(rec.key, samplers[in].res.heap.BySlot(rec.slot)); ok {
+		if in < 0 {
+			break
+		}
+		r := runs[in]
+		rec := r.recs[heads[in]]
+		heads[in] = r.next(heads[in]+1, cut)
+		if slot, ok := fill.Offer(rec.key, r.s.res.heap.BySlot(rec.slot)); ok {
 			edges = append(edges, graph.EdgeFromKey(rec.key))
 			slots = append(slots, slot)
 		} else {
 			exclude(rec.priority, 1)
 		}
 	}
-	if left > 0 {
-		// The merged sample is full: every unread record is excluded, and
-		// the highest of them heads some run.
-		in := nextRun(runs, heads)
-		exclude(runs[in][heads[in]].priority, left)
+	if in := nextRun(runs, heads); in >= 0 {
+		// The merged sample is full: every unread record the cut keeps is
+		// excluded, and the highest of them heads some run.
+		left := 0
+		for i, r := range runs {
+			if !r.trims(cut) {
+				left += len(r.recs) - heads[i]
+				continue
+			}
+			for j := heads[i]; j < len(r.recs); j = r.next(j+1, cut) {
+				left++
+			}
+		}
+		exclude(runs[in].recs[heads[in]].priority, left)
 	}
 	// Size the node table for the largest input: the merged sample holds
 	// about as many edges, mostly on the same nodes, and a table that
@@ -182,32 +215,47 @@ func compareRecords(a, b mergeRecord) int {
 	return 0
 }
 
-// sortedRuns extracts the records of every input into one shared array
-// and sorts each input's run, on up to GOMAXPROCS goroutines. The inputs
-// are only read, so they may be shared with concurrent merges.
-func sortedRuns(samplers []*Sampler, total int) [][]mergeRecord {
-	recs := make([]mergeRecord, total)
-	runs := make([][]mergeRecord, len(samplers))
+// Run is one merge input in merge order: the live entries of a sampler
+// as (priority, key, slot) records, highest priority first and equal
+// priorities by ascending edge key, with the sampler the slots are read
+// from and the smallest nonzero event time among the entries (0 when all
+// are untimed). Merges only read a run, so any number of them may share
+// one; it stays valid until its sampler next changes.
+type Run struct {
+	s     *Sampler
+	recs  []mergeRecord
+	minTS uint64
+}
+
+// NewRuns builds the run of every sampler, on up to GOMAXPROCS
+// goroutines. The samplers are only read, so they may be shared with
+// concurrent merges.
+func NewRuns(samplers []*Sampler) []*Run {
+	runs := make([]*Run, len(samplers))
 	longest := 0
-	for i, s := range samplers {
-		n := s.res.Len()
-		runs[i], recs = recs[:n:n], recs[n:]
-		longest = max(longest, n)
+	for _, s := range samplers {
+		longest = max(longest, s.res.Len())
 	}
 	var next atomic.Int64
 	work := func() {
 		var scratch []mergeRecord // one per goroutine, for its longest run
 		for i := int(next.Add(1) - 1); i < len(runs); i = int(next.Add(1) - 1) {
-			h, run := samplers[i].res.heap, runs[i]
-			for j := range run {
+			s := samplers[i]
+			h := s.res.heap
+			r := &Run{s: s, recs: make([]mergeRecord, h.Len())}
+			for j := range r.recs {
 				slot := h.SlotAt(j)
 				e := h.BySlot(slot)
-				run[j] = mergeRecord{priority: e.Priority, key: e.Edge.Key(), slot: slot}
+				r.recs[j] = mergeRecord{priority: e.Priority, key: e.Edge.Key(), slot: slot}
+				if ts := e.Edge.TS; ts != 0 && (r.minTS == 0 || ts < r.minTS) {
+					r.minTS = ts
+				}
 			}
 			if scratch == nil {
 				scratch = make([]mergeRecord, longest)
 			}
-			sortRecords(run, scratch)
+			sortRecords(r.recs, scratch)
+			runs[i] = r
 		}
 	}
 	var wg sync.WaitGroup
@@ -221,6 +269,24 @@ func sortedRuns(samplers []*Sampler, total int) [][]mergeRecord {
 	work()
 	wg.Wait()
 	return runs
+}
+
+// trims reports whether a cut leaves out any of the run's records.
+func (r *Run) trims(cut uint64) bool { return r.minTS != 0 && r.minTS <= cut }
+
+// next returns the first position at or after j whose record the cut
+// keeps, or the run's length.
+func (r *Run) next(j int, cut uint64) int {
+	if !r.trims(cut) {
+		return j
+	}
+	h := r.s.res.heap
+	for ; j < len(r.recs); j++ {
+		if ts := h.BySlot(r.recs[j].slot).Edge.TS; ts == 0 || ts > cut {
+			break
+		}
+	}
+	return j
 }
 
 // sortRecords puts one input's records, whose keys are distinct, into
@@ -280,16 +346,17 @@ func sortRecords(run, scratch []mergeRecord) {
 }
 
 // nextRun returns the index of the run whose head comes first in merge
-// order, the lowest index among equal heads; at least one run must have
-// records left. A linear scan suits the few runs a merge has: one per
-// shard or pane.
-func nextRun(runs [][]mergeRecord, heads []int) int {
+// order, the lowest index among equal heads, or -1 when every run is
+// exhausted. A linear scan suits the few runs a merge has: one per shard
+// or pane.
+func nextRun(runs []*Run, heads []int) int {
 	best := -1
-	for i, run := range runs {
+	for i, r := range runs {
+		run := r.recs
 		if heads[i] == len(run) {
 			continue
 		}
-		if best < 0 || compareRecords(run[heads[i]], runs[best][heads[best]]) < 0 {
+		if best < 0 || compareRecords(run[heads[i]], runs[best].recs[heads[best]]) < 0 {
 			best = i
 		}
 	}

@@ -293,7 +293,73 @@ func newMergeInputs(t *testing.T, seed uint64) []mergeInputs {
 		}
 		out = append(out, mergeInputs{"wide-priorities", Config{}, in})
 	}
+
+	// Timed overlapping panes, a window query's inputs: an untimed prefix,
+	// late arrivals, deletions, and an exact copy of one input.
+	{
+		stream := randomEdges(rng, 600, 80, 1)
+		for i := range stream {
+			switch {
+			case i < 60:
+				stream[i].TS = 0
+			case rng.Intn(10) == 0:
+				stream[i].TS = 1 + rng.Uint64n(stream[i].TS)
+			}
+		}
+		cfg := Config{Weight: TriangleWeight}
+		var in []*Sampler
+		for lo := 0; lo+200 <= len(stream); lo += 100 + rng.Intn(100) {
+			s := sampler(cfg, 30+rng.Intn(60), seed^uint64(lo))
+			for i, e := range stream[lo : lo+200] {
+				s.Process(e)
+				if i%5 == 0 {
+					s.Process(stream[lo+rng.Intn(i+1)].AsDeletion())
+				}
+			}
+			in = append(in, s)
+		}
+		in = append(in, in[rng.Intn(len(in))].Clone())
+		out = append(out, mergeInputs{"timed-panes", cfg, in})
+	}
 	return out
+}
+
+// trimmedClones returns clones of inputs with every entry whose stored
+// event time lies in (0, cut] deleted through the turnstile path: the
+// trim a cut in MergeRuns must reproduce. A cut is no stream deletion, so
+// each clone keeps its input's deletion counters.
+func trimmedClones(inputs []*Sampler, cut uint64) []*Sampler {
+	out := make([]*Sampler, len(inputs))
+	for i, s := range inputs {
+		c := s.Clone()
+		for _, e := range s.res.Edges() {
+			if e.TS != 0 && e.TS <= cut {
+				c.Process(e.AsDeletion())
+			}
+		}
+		c.delApplied = s.delApplied
+		out[i] = c
+	}
+	return out
+}
+
+// mergeCuts returns the cuts to test a family's merge with: its smallest,
+// median and largest stored event times, or, for untimed inputs, one cut
+// that leaves out nothing.
+func mergeCuts(inputs []*Sampler) []uint64 {
+	var ts []uint64
+	for _, s := range inputs {
+		for _, e := range s.res.Edges() {
+			if e.TS != 0 {
+				ts = append(ts, e.TS)
+			}
+		}
+	}
+	if len(ts) == 0 {
+		return []uint64{7}
+	}
+	slices.Sort(ts)
+	return slices.Compact([]uint64{ts[0], ts[len(ts)/2], ts[len(ts)-1]})
 }
 
 // TestMergeMatchesReference is the bit-identity property of the bulk
@@ -301,6 +367,8 @@ func newMergeInputs(t *testing.T, seed uint64) []mergeInputs {
 // above the input total, Merge equals mergeReference in every bit — and
 // the two merged samplers stay equal while they keep sampling, deleting
 // and re-growing, which exercises the bulk-built adjacency's full-cap runs.
+// With a cut, MergeRuns equals mergeReference over clones trimmed by the
+// deletion path, at the smallest, median and largest event time.
 func TestMergeMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 12; seed++ {
 		for _, fam := range newMergeInputs(t, seed) {
@@ -320,32 +388,48 @@ func TestMergeMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: reference: %v", name, err)
 				}
-				t.Run(name, func(t *testing.T) {
-					requireSameBits(t, got, want)
-					rng := randx.New(seed)
-					var ts uint64
-					if cfg.Decay.Enabled() {
-						ts = got.lastTS
+				t.Run(name, func(t *testing.T) { requireSameMerge(t, seed, got, want) })
+				for _, cut := range mergeCuts(fam.inputs) {
+					got, err := MergeRuns(NewRuns(fam.inputs), cfg, cut)
+					if err != nil {
+						t.Fatalf("%s/cut%d: %v", name, cut, err)
 					}
-					more := randomEdges(rng, 150, 60, ts)
-					for i, e := range more {
-						got.Process(e)
-						want.Process(e)
-						if i%4 == 0 {
-							// Delete resident edges too, not only arrivals.
-							old := got.res.Edges()
-							if len(old) > 0 {
-								d := old[rng.Intn(len(old))].AsDeletion()
-								got.Process(d)
-								want.Process(d)
-							}
-						}
+					want, err := mergeReference(trimmedClones(fam.inputs, cut), cfg)
+					if err != nil {
+						t.Fatalf("%s/cut%d: reference: %v", name, cut, err)
 					}
-					requireSameBits(t, got, want)
-				})
+					t.Run(fmt.Sprintf("%s/cut%d", name, cut), func(t *testing.T) { requireSameMerge(t, seed, got, want) })
+				}
 			}
 		}
 	}
+}
+
+// requireSameMerge checks two merged samplers bit for bit, then keeps
+// sampling and deleting on both and checks them again.
+func requireSameMerge(t *testing.T, seed uint64, got, want *Sampler) {
+	t.Helper()
+	requireSameBits(t, got, want)
+	rng := randx.New(seed)
+	var ts uint64
+	if got.Decayed() {
+		ts = got.lastTS
+	}
+	more := randomEdges(rng, 150, 60, ts)
+	for i, e := range more {
+		got.Process(e)
+		want.Process(e)
+		if i%4 == 0 {
+			// Delete resident edges too, not only arrivals.
+			old := got.res.Edges()
+			if len(old) > 0 {
+				d := old[rng.Intn(len(old))].AsDeletion()
+				got.Process(d)
+				want.Process(d)
+			}
+		}
+	}
+	requireSameBits(t, got, want)
 }
 
 // TestMergeTieGoesToFirstInput pins the one choice the reference leaves

@@ -44,6 +44,29 @@ func EstimatePost(s *Sampler) Estimates {
 	return reduceEstimates(parts, n, s.arrivals)
 }
 
+// EstimateEdges returns Σ 1/q(k) over the sampled edges: the
+// Horvitz-Thompson estimate of the number of edges the sample stands for
+// (for a window query's merged sample, the in-window edges). It reads
+// q(k) from the slot table, summing in ForEachEdge's order, which fixes
+// the floating-point result.
+func EstimateEdges(s *Sampler) float64 {
+	probs := s.slotProbs()
+	adj := s.res.adj
+	var total float64
+	for id := range adj.DenseLen() {
+		u, nbrs, slots := adj.RunAt(id)
+		for j, v := range nbrs {
+			if u >= v {
+				continue // each edge once, from its lower endpoint's run
+			}
+			if q := probs[slots[j]]; q > 0 {
+				total += 1 / q
+			}
+		}
+	}
+	return total
+}
+
 // reduceEstimates folds per-worker partials (in worker order, so the
 // summation is deterministic for a fixed GOMAXPROCS) into the final
 // Estimates, applying Algorithm 2's 1/3 and 1/2 multiplicity corrections.

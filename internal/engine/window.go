@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"time"
 
 	"gps/internal/checkpoint"
 	"gps/internal/core"
 	"gps/internal/graph"
+	"gps/internal/obs"
 	"gps/internal/randx"
 )
 
@@ -20,9 +22,9 @@ import (
 // are frozen samplers produced by the pane-rotation barrier. A window query
 // "the last w time units, exactly" merges the panes overlapping (T−w, T]
 // (T the event-time horizon) through the standard priority-sampling merge,
-// trimming the boundary pane to the window edge, and runs the post-stream
-// estimators over the merged sample. Panes that can no longer intersect any
-// admissible window are retired for good, bounding memory to
+// skipping the edges behind the window edge as it goes, and runs the
+// post-stream estimators over the merged sample. Panes that can no longer
+// intersect any admissible window are retired for good, bounding memory to
 // ~(Window/PaneWidth + 1) reservoirs regardless of stream length.
 //
 // Rotation reuses the engine's barrier machinery: when an arriving edge's
@@ -42,10 +44,12 @@ import (
 // fan-out preserves determinism.
 //
 // Windowed methods are safe for concurrent use but coarsely serialized: one
-// mutex covers ingest, rotation and queries. The underlying Parallel still
-// fans sampling out across shards; the serialization is the routing and the
-// pane bookkeeping. Forward decay and windowing are mutually exclusive —
-// both reweight time, in incompatible ways.
+// mutex covers ingest, rotation and a query's snapshot and merge; a query
+// runs the estimators on its private merged sample after releasing it. The
+// underlying Parallel still fans sampling out across shards; the
+// serialization is the routing and the pane bookkeeping. Forward decay and
+// windowing are mutually exclusive — both reweight time, in incompatible
+// ways.
 type Windowed struct {
 	mu  sync.Mutex
 	cfg WindowConfig
@@ -61,12 +65,37 @@ type Windowed struct {
 	horizon   uint64 // max event time seen (T)
 	processed uint64 // records ever fed (the stream position a resume skips)
 	closed    bool
+
+	met windowMetrics
 }
 
 // windowPane is one completed pane of the chain.
 type windowPane struct {
 	idx uint64 // pane index: covers [idx·PaneWidth, (idx+1)·PaneWidth)
 	s   *core.Sampler
+	// run is s's merge run, built by the first query that reads the pane
+	// after it retires or is restored, and reused by later ones. The
+	// deletion fan-out still removes resident edges from retired panes, so
+	// runApplied records s's applied-deletion count at the build, and a
+	// query rebuilds the run once that count has moved.
+	run        *core.Run
+	runApplied uint64
+}
+
+// windowMetrics times each window query's stages. They record
+// unconditionally: a query is a cold path.
+type windowMetrics struct {
+	lockNS     *obs.Histogram // w.mu held: active snapshot, run builds, merge
+	mergeNS    *obs.Histogram // run builds plus the k-way merge
+	estimateNS *obs.Histogram // Algorithm 2 plus the edge total, off the lock
+}
+
+func newWindowMetrics() windowMetrics {
+	return windowMetrics{
+		lockNS:     obs.NewHistogram(obs.Latency()),
+		mergeNS:    obs.NewHistogram(obs.Latency()),
+		estimateNS: obs.NewHistogram(obs.Latency()),
+	}
 }
 
 // WindowConfig parameterizes a Windowed engine.
@@ -113,7 +142,7 @@ func NewWindowed(cfg WindowConfig) (*Windowed, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	w := &Windowed{cfg: cfg}
+	w := &Windowed{cfg: cfg, met: newWindowMetrics()}
 	active, err := w.openPane(0)
 	if err != nil {
 		return nil, err
@@ -257,90 +286,94 @@ type WindowEstimates struct {
 
 // Query estimates triangle and wedge counts over the trailing window of
 // width win event-time units (win == 0 means the configured maximum). It
-// merges every retained pane overlapping (T−win, T], trimming edges that
-// fall outside the window from the boundary panes, and runs the post-stream
-// estimators on the merged sample. Ingestion is blocked for the duration.
+// merges every retained pane overlapping (T−win, T], skipping the edges
+// with stored event times at or before T−win inside the merge, and runs the
+// post-stream estimators on the merged sample. Ingestion waits while the
+// live pane is snapshotted and the panes are merged; the estimators run on
+// the private merged sample after ingestion resumes.
 func (w *Windowed) Query(win uint64) (WindowEstimates, error) {
 	w.mu.Lock()
-	defer w.mu.Unlock()
+	locked := time.Now()
+	merged, res, err := w.mergeWindow(win)
+	w.mu.Unlock()
+	w.met.lockNS.Observe(uint64(time.Since(locked)))
+	if err != nil {
+		return WindowEstimates{}, err
+	}
+	start := time.Now()
+	res.Estimates = core.EstimatePost(merged)
+	res.Edges = core.EstimateEdges(merged)
+	w.met.estimateNS.Observe(uint64(time.Since(start)))
+	return res, nil
+}
+
+// mergeWindow validates a query of width win and merges the in-window
+// sample: the runs of the retired panes overlapping (T−win, T], cached
+// across queries, and the run of a fresh snapshot of the live pane, merged
+// in pane order with the cut T−win. It returns the merged sampler and the
+// query's geometry and threshold. Callers hold w.mu: the merge reads the
+// retired panes, which the deletion fan-out changes under it.
+func (w *Windowed) mergeWindow(win uint64) (*core.Sampler, WindowEstimates, error) {
 	if w.closed {
-		return WindowEstimates{}, errors.New("engine: Query on closed Windowed")
+		return nil, WindowEstimates{}, errors.New("engine: Query on closed Windowed")
 	}
 	if win == 0 {
 		win = w.cfg.Window
 	}
 	if win > w.cfg.Window {
-		return WindowEstimates{}, fmt.Errorf("engine: window %d exceeds the configured maximum %d (older panes are already retired)",
+		return nil, WindowEstimates{}, fmt.Errorf("engine: window %d exceeds the configured maximum %d (older panes are already retired)",
 			win, w.cfg.Window)
 	}
 	var cut uint64 // edges with 0 < TS <= cut are out of window
 	if w.horizon > win {
 		cut = w.horizon - win
 	}
-	var samplers []*core.Sampler
-	for _, p := range w.retired {
+	var panes, stale []*windowPane
+	for i := range w.retired {
+		p := &w.retired[i]
 		if (p.idx+1)*w.cfg.PaneWidth <= cut {
 			continue // pane entirely out of window
 		}
-		samplers = append(samplers, trimPane(p.s, cut))
+		panes = append(panes, p)
+		if applied, _ := p.s.Deletions(); p.run == nil || applied != p.runApplied {
+			stale = append(stale, p)
+		}
 	}
 	activeSnap, err := w.active.Snapshot()
 	if err != nil {
-		return WindowEstimates{}, err
+		return nil, WindowEstimates{}, err
 	}
-	samplers = append(samplers, trimPane(activeSnap, cut))
 
-	merged, err := core.Merge(samplers, core.Config{
+	start := time.Now()
+	build := make([]*core.Sampler, 0, len(stale)+1)
+	for _, p := range stale {
+		build = append(build, p.s)
+	}
+	built := core.NewRuns(append(build, activeSnap))
+	for i, p := range stale {
+		p.run = built[i]
+		p.runApplied, _ = p.s.Deletions()
+	}
+	runs := make([]*core.Run, 0, len(panes)+1)
+	for _, p := range panes {
+		runs = append(runs, p.run)
+	}
+	runs = append(runs, built[len(stale)])
+	merged, err := core.MergeRuns(runs, core.Config{
 		Capacity: w.cfg.Capacity,
 		Weight:   w.cfg.Weight,
 		Seed:     randx.Mix64(w.cfg.Seed ^ 0xD6E8FEB86659FD93),
-	})
+	}, cut)
+	w.met.mergeNS.Observe(uint64(time.Since(start)))
 	if err != nil {
-		return WindowEstimates{}, fmt.Errorf("engine: window merge: %w", err)
+		return nil, WindowEstimates{}, fmt.Errorf("engine: window merge: %w", err)
 	}
-	est := core.EstimatePost(merged)
-	res := WindowEstimates{
-		Estimates: est,
+	return merged, WindowEstimates{
 		Window:    win,
 		Horizon:   w.horizon,
-		Panes:     len(samplers),
+		Panes:     len(runs),
 		Threshold: merged.Threshold(),
-	}
-	merged.Reservoir().ForEachEdge(func(e graph.Edge) bool {
-		if q, ok := merged.InclusionProb(e); ok && q > 0 {
-			res.Edges += 1 / q
-		}
-		return true
-	})
-	return res, nil
-}
-
-// trimPane returns a sampler holding only s's in-window edges (stored event
-// time beyond cut, or untimed). A pane with nothing to trim is returned
-// as-is; otherwise a clone is trimmed through the deterministic turnstile
-// deletion path, which leaves the surviving edges' inclusion probabilities
-// untouched — exactly the semantics a window boundary needs.
-func trimPane(s *core.Sampler, cut uint64) *core.Sampler {
-	if cut == 0 {
-		return s
-	}
-	// Iterate the heap (Edges), not the adjacency index (ForEachEdge): the
-	// adjacency stores endpoints only, so edges it yields carry no event
-	// time and nothing would ever be trimmed.
-	var old []graph.Edge
-	for _, e := range s.Reservoir().Edges() {
-		if e.TS != 0 && e.TS <= cut {
-			old = append(old, e)
-		}
-	}
-	if len(old) == 0 {
-		return s
-	}
-	c := s.Clone()
-	for _, e := range old {
-		c.Process(e.AsDeletion())
-	}
-	return c
+	}, nil
 }
 
 // Horizon returns the largest event time fed so far (T).
@@ -594,6 +627,7 @@ func readWindowedDocument(br *bufio.Reader, resolve func(string) (core.WeightFun
 		retired:   retired,
 		horizon:   horizon,
 		processed: processed,
+		met:       newWindowMetrics(),
 	}
 	return w, weightName, nil
 }

@@ -90,9 +90,10 @@ func (w *Windowed) Degraded() bool { return w.Engine().Degraded() }
 
 // RegisterMetrics attaches the gps_window_* families: pane rotation
 // replaces the live Parallel, so per-instance engine instruments would go
-// stale mid-run — the window families cover the chain instead. The readers
-// take the window mutex briefly (no engine barrier), so scrapes stay cheap.
-// labels (e.g. a stream name) are stamped on every sample.
+// stale mid-run — the window families cover the chain instead, including
+// the window query's stage histograms. The readers take the window mutex
+// briefly (no engine barrier), so scrapes stay cheap. labels (e.g. a
+// stream name) are stamped on every sample.
 func (w *Windowed) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 	wc := w.Config()
 	reg.RegisterGaugeFunc("gps_window_width",
@@ -107,4 +108,11 @@ func (w *Windowed) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 	reg.RegisterGaugeFunc("gps_window_horizon",
 		"Largest event time ingested (the horizon window queries end at).",
 		func() float64 { return float64(w.Horizon()) }, labels...)
+	reg.RegisterHistogram("gps_window_query_lock_seconds",
+		"Window mutex hold per window query (live-pane snapshot and merge), during which ingest into the stream waits.",
+		w.met.lockNS, labels...)
+	reg.RegisterHistogram("gps_window_query_merge_seconds",
+		"Pane-run builds plus the cut merge per window query.", w.met.mergeNS, labels...)
+	reg.RegisterHistogram("gps_window_query_estimate_seconds",
+		"Algorithm 2 plus the in-window edge total per window query, after ingest resumes.", w.met.estimateNS, labels...)
 }

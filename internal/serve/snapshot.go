@@ -21,6 +21,9 @@ type snapshot struct {
 	est      core.Estimates
 	taken    time.Time
 	degraded bool
+	// seq numbers the cache's installs from 1 up, so an SSE subscriber
+	// can skip a snapshot it was already sent.
+	seq uint64
 }
 
 // errRefreshDeadline is returned when a refresh misses the deadline and no
@@ -61,6 +64,7 @@ type snapshotCache struct {
 	mu       sync.Mutex
 	gen      uint64     // bumped by invalidate; a refresh from an older gen discards
 	inflight *refreshOp // the single in-flight refresh, nil when idle
+	installs uint64     // snapshots installed so far, the last one's seq
 
 	// onInstall, when set, is called (outside mu) with every snapshot that
 	// actually installs — the snapshot-epoch feed the SSE subscription layer
@@ -235,6 +239,8 @@ func (c *snapshotCache) finishInstall(op *refreshOp, s *snapshot, gen uint64) {
 	c.mu.Lock()
 	installed := c.gen == gen
 	if installed {
+		c.installs++
+		s.seq = c.installs
 		c.cur.Store(s)
 		op.snap = s
 	}

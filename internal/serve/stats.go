@@ -356,6 +356,11 @@ func (s *Server) metricsPartition() (statsCovered, metricsOnly []string) {
 			"gps_window_panes",      // window_panes
 			"gps_window_horizon",    // window_horizon
 		)
+		metricsOnly = append(metricsOnly,
+			"gps_window_query_estimate_seconds",
+			"gps_window_query_lock_seconds",
+			"gps_window_query_merge_seconds",
+		)
 	}
 	if anyPlain {
 		statsCovered = append(statsCovered,

@@ -124,7 +124,16 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	// Long-lived response: lift any server-wide write deadline for this
 	// connection (best effort; ignored where unsupported).
 	_ = rc.SetWriteDeadline(time.Time{})
+	// The channel is registered before the current snapshot is read, so an
+	// install between the two arrives both ways, and installs can reach
+	// the channel out of order: send each snapshot newer than the last one
+	// sent, and skip the rest.
+	var sent uint64
 	send := func(sn *snapshot) bool {
+		if sn.seq <= sent {
+			return true
+		}
+		sent = sn.seq
 		data, err := json.Marshal(t.estimateFrom(sn, sn.degraded))
 		if err != nil {
 			return false
