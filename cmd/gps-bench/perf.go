@@ -16,8 +16,7 @@ import (
 
 // perfReport is the machine-readable perf snapshot written to
 // BENCH_PR3.json by scripts/bench.sh: per-edge update costs, the
-// post-stream estimation latency on both the slot-indexed fast path and
-// the hash-lookup reference, and the engine snapshot stalls under the
+// post-stream estimation latency, and the engine snapshot stalls under the
 // three dirtiness regimes. Every field is a single number so CI runs can
 // be diffed over time.
 type perfReport struct {
@@ -32,9 +31,7 @@ type perfReport struct {
 	UpdateNSPerEdge map[string]float64 `json:"update_ns_per_edge"`
 
 	EstimatePost struct {
-		SlotMS   float64 `json:"slot_ms"`
-		LookupMS float64 `json:"lookup_ms"`
-		Speedup  float64 `json:"speedup"`
+		SlotMS float64 `json:"slot_ms"`
 	} `json:"estimate_post"`
 
 	Snapshot struct {
@@ -202,20 +199,13 @@ func perfBench(edges, sample, shards int, seed uint64, procs []int) (*perfReport
 	}
 	r.UpdateNSPerEdge["instream_triangle"] = n
 
-	// Post-stream estimation at m=sample: slot-indexed fast path vs the
-	// retained hash-lookup reference, same sampler state.
+	// Post-stream estimation at m=sample.
 	est, err := gps.NewSampler(gps.Config{Capacity: sample, Weight: gps.TriangleWeight, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
 	est.ProcessBatch(es)
-	slotT := timeBest(3, func() { core.EstimatePost(est) })
-	lookT := timeBest(3, func() { core.EstimatePostLookup(est) })
-	r.EstimatePost.SlotMS = ms(slotT)
-	r.EstimatePost.LookupMS = ms(lookT)
-	if slotT > 0 {
-		r.EstimatePost.Speedup = float64(lookT) / float64(slotT)
-	}
+	r.EstimatePost.SlotMS = ms(timeBest(3, func() { core.EstimatePost(est) }))
 
 	// Snapshot stalls: full (first snapshot, all shards dirty), clean
 	// (nothing ingested since), and 1-of-P dirty (traffic confined to one
@@ -480,8 +470,7 @@ func renderPerf(r *perfReport) string {
 	for _, k := range []string{"uniform", "triangle", "adjacency", "instream_triangle"} {
 		fmt.Fprintf(&b, "  %-20s %8.0f\n", k, r.UpdateNSPerEdge[k])
 	}
-	fmt.Fprintf(&b, "\nEstimatePost at m=%d: slot-indexed %.1fms, hash-lookup %.1fms  (%.2fx)\n",
-		r.SampleM, r.EstimatePost.SlotMS, r.EstimatePost.LookupMS, r.EstimatePost.Speedup)
+	fmt.Fprintf(&b, "\nEstimatePost at m=%d: %.1fms\n", r.SampleM, r.EstimatePost.SlotMS)
 	fmt.Fprintf(&b, "snapshot stall: full %.2fms (%d clones)   1-dirty %.2fms (%d clone, %.2fx of full)   clean %.2fms\n",
 		r.Snapshot.FullStallMS, r.Snapshot.FullCloned,
 		r.Snapshot.Dirty1StallMS, r.Snapshot.Dirty1Cloned, r.Snapshot.Dirty1OverFull,

@@ -155,128 +155,25 @@ func (s *Sampler) SetDecayLandmark(ts uint64) error {
 
 // slotDecays builds the slot-indexed decay table of decayed estimation:
 // decays[slot] = d(t) = exp(-λ(T-t)) ≤ 1 for every sampled edge, indexed by
-// heap arena slot, with T the current horizon. Like slotProbs it is one
-// O(m) pass, immutable, shareable across estimator workers, and
-// invalidated by the next Process.
-func (s *Sampler) slotDecays() []float64 {
-	decays := make([]float64, s.res.heap.ArenaLen())
+// heap arena slot, with T the current horizon. EstimatePost scales every
+// enumerated motif's Horvitz-Thompson contribution by its decayed value —
+// the decay factor of its oldest edge (the min over member decays, since d
+// is monotone in event time) — so point estimates are unbiased for the
+// decayed counts, and the variance and covariance sums carry the matching
+// d² (diagonal) and d·d' (pair) scalings. Like slotInvProbs the table is
+// one O(m) pass, immutable, shareable across estimator workers, and
+// invalidated by the next Process, and byMark is the table behind one
+// leading entry, 1, that stands for no slot.
+func (s *Sampler) slotDecays() (decays, byMark []float64) {
+	byMark = make([]float64, s.res.heap.ArenaLen()+1)
+	byMark[0] = 1
+	decays = byMark[1:]
 	horizon := float64(s.lastTS)
 	for i, n := 0, s.res.Len(); i < n; i++ {
 		slot := s.res.heap.SlotAt(i)
 		decays[slot] = decayExp(s.lambda * (float64(s.res.heap.BySlot(slot).Edge.TS) - horizon))
 	}
-	return decays
-}
-
-// estimatePostDecayed is the forward-decay variant of EstimatePost: the
-// same slot-indexed Algorithm 2 scan, with every enumerated motif's
-// Horvitz-Thompson contribution scaled by its decayed value — the decay
-// factor of its oldest edge (the min over member decays, since d is
-// monotone in event time). Point estimates are unbiased for the decayed
-// counts; the variance and covariance sums carry the matching d² (diagonal)
-// and d·d' (pair) scalings.
-func estimatePostDecayed(s *Sampler) Estimates {
-	n := s.res.Len()
-	probs, ends := s.slotProbs(), s.slotEnds()
-	decays := s.slotDecays()
-	workers := estimateWorkers(n)
-	parts := make([]partial, workers)
-	edgeParts := make([]float64, workers)
-	parallelFor(n, workers, func(w, lo, hi int) {
-		var local partial
-		var edges float64
-		for i := lo; i < hi; i++ {
-			slot := s.res.heap.SlotAt(i)
-			local.add(s.estimateEdgeDecayed(slot, probs, decays, ends))
-			edges += decays[slot] / probs[slot]
-		}
-		parts[w] = local
-		edgeParts[w] = edges
-	})
-	est := reduceEstimates(parts, n, s.arrivals)
-	est.Decayed = true
-	est.DecayHorizon = s.lastTS
-	for _, v := range edgeParts {
-		est.DecayedEdges += v
-	}
-	return est
-}
-
-// estimateEdgeDecayed mirrors estimateEdge with per-motif decayed values.
-// With every decay factor exactly 1 it reduces term for term to the
-// undecayed scan (a tested property: a stream whose edges all share one
-// event time estimates bit-identically with decay on and off).
-func (s *Sampler) estimateEdgeDecayed(slot int32, probs, decays []float64, ends [][2]int32) edgeTotals {
-	var t edgeTotals
-	invQ := 1 / probs[slot]
-	dk := decays[slot]
-
-	v1, n1, s1, v2, n2, s2 := s.endpointRuns(slot, ends)
-	if len(n1) > len(n2) {
-		v1, v2 = v2, v1
-		n1, s1, n2, s2 = n2, s2, n1, s1
-	}
-
-	var cTriPairs float64 // running Σ over earlier triangles at k of d_τ·Ŝ_{τ∖k}
-	var cWPairs float64   // running Σ over earlier wedges at k of d_λ·Ŝ_{λ∖k}
-	var aK, bK, dK float64
-	var subWedge float64
-
-	j := 0 // monotone cursor into v2's run (triangle membership merge)
-	for i, v3 := range n1 {
-		if v3 == v2 {
-			continue
-		}
-		q1 := probs[s1[i]]
-		d1 := decays[s1[i]]
-		for j < len(n2) && n2[j] < v3 {
-			j++
-		}
-		if j < len(n2) && n2[j] == v3 {
-			q2 := probs[s2[j]]
-			d2 := decays[s2[j]]
-			dTri := minDecay(dk, minDecay(d1, d2))
-			inv12 := 1 / (q1 * q2)
-			invAll := invQ * inv12
-			t.nTri += dTri * invAll
-			t.vTri += dTri * dTri * invAll * (invAll - 1)
-			t.cTri += cTriPairs * dTri * inv12
-			cTriPairs += dTri * inv12
-			aK += dTri * inv12
-			// Remove the wedge⊂triangle cross terms a_K·b_K would double
-			// count: the wedges (k,k1) and (k,k2) carry their own decays.
-			dK += dTri * inv12 * (minDecay(dk, d1)/q1 + minDecay(dk, d2)/q2)
-			// The wedge (k1,k2) opposite k, paired with τ at k.
-			subWedge += dTri * minDecay(d1, d2) * invAll * (inv12 - 1)
-		}
-		// Wedge (v3,v1,v2): edges k and k1.
-		dW := minDecay(dk, d1)
-		invW := invQ / q1
-		t.nW += dW * invW
-		t.vW += dW * dW * invW * (invW - 1)
-		t.cW += cWPairs * dW / q1
-		cWPairs += dW / q1
-		bK += dW / q1
-	}
-	for i, v3 := range n2 {
-		if v3 == v1 {
-			continue
-		}
-		q2 := probs[s2[i]]
-		dW := minDecay(dk, decays[s2[i]])
-		invW := invQ / q2
-		t.nW += dW * invW
-		t.vW += dW * dW * invW * (invW - 1)
-		t.cW += cWPairs * dW / q2
-		cWPairs += dW / q2
-		bK += dW / q2
-	}
-
-	scale := 2 * invQ * (invQ - 1)
-	t.cTri *= scale
-	t.cW *= scale
-	t.covTW = invQ*(invQ-1)*(aK*bK-dK) + subWedge
-	return t
+	return decays, byMark
 }
 
 // minDecay returns the smaller decay factor — the older edge's, since d is

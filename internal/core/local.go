@@ -25,21 +25,24 @@ func (lt LocalTriangles) Total() float64 {
 // enumerates the triangles it participates in, exactly as in Algorithm 2;
 // a triangle enumerated at one of its three edges credits Ŝ_τ/3 to each
 // corner, so after the full scan every corner has accumulated Ŝ_τ. Like
-// EstimatePost it runs on the slot-indexed fast path: probabilities come
-// from the slot table, endpoint runs are read by dense id from the
-// endpoint table, and triangle detection is the two-pointer merge over
-// slot runs.
+// EstimatePost it reads 1/q from the slot table and both endpoint runs by
+// dense id, and detects triangles with a two-pointer merge over slot runs.
+// The sampled edges are cut into fixed chunks of heap positions, each with
+// its own map, merged in chunk order, so the result does not depend on the
+// core count.
 func EstimateLocalPost(s *Sampler) LocalTriangles {
 	n := s.res.Len()
-	probs, ends := s.slotProbs(), s.slotEnds()
-	workers := estimateWorkers(n)
-	parts := make([]LocalTriangles, workers)
-	parallelFor(n, workers, func(w, lo, hi int) {
-		local := make(LocalTriangles)
-		for i := lo; i < hi; i++ {
-			s.localEdge(s.res.heap.SlotAt(i), probs, ends, local)
+	inv, _ := s.slotInvProbs()
+	ends := s.slotEnds()
+	parts := make([]LocalTriangles, chunkCount(n, edgeChunk))
+	forChunks(n, edgeChunk, func() func(c, lo, hi int) {
+		return func(c, lo, hi int) {
+			local := make(LocalTriangles)
+			for i := lo; i < hi; i++ {
+				s.localEdge(s.res.heap.SlotAt(i), inv, ends, local)
+			}
+			parts[c] = local
 		}
-		parts[w] = local
 	})
 	out := make(LocalTriangles)
 	for _, part := range parts {
@@ -52,8 +55,8 @@ func EstimateLocalPost(s *Sampler) LocalTriangles {
 
 // localEdge accumulates the corner contributions of the triangles at the
 // sampled edge stored at the given heap slot.
-func (s *Sampler) localEdge(slot int32, probs []float64, ends [][2]int32, acc LocalTriangles) {
-	invQ := 1 / probs[slot]
+func (s *Sampler) localEdge(slot int32, inv []float64, ends [][2]int32, acc LocalTriangles) {
+	invQ := inv[slot]
 	v1, n1, s1, v2, n2, s2 := s.endpointRuns(slot, ends)
 	if len(n1) > len(n2) {
 		v1, v2 = v2, v1
@@ -70,9 +73,7 @@ func (s *Sampler) localEdge(slot int32, probs []float64, ends [][2]int32, acc Lo
 		if j >= len(n2) || n2[j] != v3 {
 			continue
 		}
-		q1 := probs[s1[i]]
-		q2 := probs[s2[j]]
-		share := invQ / (q1 * q2) / 3
+		share := invQ * inv[s1[i]] * inv[s2[j]] / 3
 		acc[v1] += share
 		acc[v2] += share
 		acc[v3] += share

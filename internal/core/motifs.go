@@ -6,9 +6,9 @@ import "gps/internal/graph"
 // the other motif families the paper's introduction names ("triangles,
 // cliques, stars", §1). Both estimators are direct applications of
 // Theorem 2: sum the Horvitz-Thompson product Ŝ_J over every member of the
-// family found inside the sample. Like EstimatePost they run on the
-// slot-indexed fast path (slot-table probabilities, merge-based membership
-// tests) over the parallelFor scaffold.
+// family found inside the sample. Like EstimatePost they read 1/q from the
+// slot table, test membership by merging sorted runs, and run in fixed
+// chunks (forChunks) whose partials are summed in chunk order.
 
 // EstimateCliques4Post returns the unbiased estimate of the number of
 // 4-cliques whose edges have all arrived. Each 4-clique found in the
@@ -22,16 +22,22 @@ import "gps/internal/graph"
 // Sampler.SubgraphVariance / SubgraphCovariance.
 func EstimateCliques4Post(s *Sampler) float64 {
 	n := s.res.Len()
-	probs := s.slotProbs()
-	workers := estimateWorkers(n)
-	totals := make([]float64, workers)
-	parallelFor(n, workers, func(w, lo, hi int) {
-		total := 0.0
-		for i := lo; i < hi; i++ {
-			total += s.cliques4At(s.res.heap.SlotAt(i), probs)
+	inv, _ := s.slotInvProbs()
+	totals := make([]float64, chunkCount(n, edgeChunk))
+	forChunks(n, edgeChunk, func() func(c, lo, hi int) {
+		return func(c, lo, hi int) {
+			total := 0.0
+			for i := lo; i < hi; i++ {
+				total += s.cliques4At(s.res.heap.SlotAt(i), inv)
+			}
+			totals[c] = total
 		}
-		totals[w] = total
 	})
+	return sumInOrder(totals)
+}
+
+// sumInOrder returns the sum of the chunk totals, in chunk order.
+func sumInOrder(totals []float64) float64 {
 	total := 0.0
 	for _, t := range totals {
 		total += t
@@ -45,10 +51,10 @@ func EstimateCliques4Post(s *Sampler) float64 {
 // ascending order with the slots of their two rim edges, so the pair loop's
 // membership test (w,x) is a monotone merge of w's neighbor run against the
 // remaining candidates — no hash probes anywhere.
-func (s *Sampler) cliques4At(slot int32, probs []float64) float64 {
+func (s *Sampler) cliques4At(slot int32, inv []float64) float64 {
 	k := s.res.entryAt(slot).Edge
 	u, v := k.U, k.V // canonical: u < v
-	invQ := 1 / probs[slot]
+	invQ := inv[slot]
 	type cand struct {
 		node graph.NodeID
 		inv  float64 // (q(u,w)·q(v,w))⁻¹
@@ -56,7 +62,7 @@ func (s *Sampler) cliques4At(slot int32, probs []float64) float64 {
 	var cands []cand
 	s.res.commonNeighborsWithSlots(u, v, func(w graph.NodeID, su, sv int32) bool {
 		if w > v {
-			cands = append(cands, cand{node: w, inv: 1 / (probs[su] * probs[sv])})
+			cands = append(cands, cand{node: w, inv: inv[su] * inv[sv]})
 		}
 		return true
 	})
@@ -77,7 +83,7 @@ func (s *Sampler) cliques4At(slot int32, probs []float64) float64 {
 			if jw >= len(nw) || nw[jw] != x {
 				continue
 			}
-			total += invQ * invW * cands[j].inv / probs[sw[jw]]
+			total += invQ * invW * cands[j].inv * inv[sw[jw]]
 		}
 	}
 	return total
@@ -94,37 +100,34 @@ func (s *Sampler) cliques4At(slot int32, probs []float64) float64 {
 //
 // Wedges are the k=2 case of the same family (e2 = (p1²−p2)/2); this
 // estimator extends the paper's framework one motif further. The scan runs
-// over the adjacency's dense-id space in parallel chunks; each node's
-// incident probabilities are slot-run array reads.
+// over the adjacency's dense-id space in fixed chunks; each node's incident
+// inverse probabilities are slot-run array reads.
 func EstimateStars3Post(s *Sampler) float64 {
 	n := s.res.adj.DenseLen()
-	probs := s.slotProbs()
-	workers := estimateWorkers(n)
-	totals := make([]float64, workers)
-	parallelFor(n, workers, func(w, lo, hi int) {
-		total := 0.0
-		for id := lo; id < hi; id++ {
-			_, _, slots := s.res.adj.RunAt(id)
-			if len(slots) == 0 {
-				continue // freed dense id
+	inv, _ := s.slotInvProbs()
+	totals := make([]float64, chunkCount(n, ownerChunk))
+	forChunks(n, ownerChunk, func() func(c, lo, hi int) {
+		return func(c, lo, hi int) {
+			total := 0.0
+			for id := lo; id < hi; id++ {
+				_, _, slots := s.res.adj.RunAt(id)
+				if len(slots) == 0 {
+					continue // freed dense id
+				}
+				var p1, p2, p3 float64
+				for _, sl := range slots {
+					x := inv[sl]
+					p1 += x
+					x2 := x * x
+					p2 += x2
+					p3 += x2 * x
+				}
+				total += (p1*p1*p1 - 3*p1*p2 + 2*p3) / 6
 			}
-			var p1, p2, p3 float64
-			for _, sl := range slots {
-				inv := 1 / probs[sl]
-				p1 += inv
-				inv2 := inv * inv
-				p2 += inv2
-				p3 += inv2 * inv
-			}
-			total += (p1*p1*p1 - 3*p1*p2 + 2*p3) / 6
+			totals[c] = total
 		}
-		totals[w] = total
 	})
-	total := 0.0
-	for _, t := range totals {
-		total += t
-	}
-	return total
+	return sumInOrder(totals)
 }
 
 // adjNodes iterates the sampled nodes (helper for motif estimator tests).

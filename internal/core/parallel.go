@@ -3,81 +3,88 @@ package core
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"gps/internal/graph"
 )
 
-// estimateWorkers returns the worker count for a parallel estimator scan
-// over n items: GOMAXPROCS capped at n, and at least 1 so empty reservoirs
-// still produce a (zero) partial.
-func estimateWorkers(n int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
+// Chunk sizes of the post-stream scans. A chunk's bounds depend on the
+// sample alone, never on the core count, so every estimator below returns
+// the same bits on any GOMAXPROCS: each chunk writes its own partial, and
+// the partials are summed in chunk order.
+const (
+	// ownerChunk is the number of dense ids per chunk of the scans that
+	// walk the adjacency runs. Algorithm 2's work per owner grows with the
+	// square of its degree and the hubs sit together at low ids, so chunks
+	// stay small enough to balance.
+	ownerChunk = 64
+	// edgeChunk is the number of heap positions per chunk of the scans that
+	// walk the sampled edges one by one.
+	edgeChunk = 1024
+)
 
-// parallelFor splits [0, n) into one contiguous chunk per worker and runs
-// fn(w, lo, hi) for each non-empty chunk, returning when all complete — the
-// paper's "parallel for" loop over reservoir slots, shared by every
-// post-stream estimator. Chunk boundaries depend only on (n, workers), so a
-// reduction that combines per-worker partials in worker order is a
-// deterministic function of the reservoir for a fixed GOMAXPROCS. With one
-// worker the chunk runs on the calling goroutine.
-func parallelFor(n, workers int, fn func(w, lo, hi int)) {
-	if workers <= 1 {
-		if n > 0 {
-			fn(0, 0, n)
-		}
+// chunkCount returns the number of chunks forChunks cuts [0, n) into.
+func chunkCount(n, size int) int { return (n + size - 1) / size }
+
+// forChunks is the paper's "parallel for" over reservoir items (§4): it cuts
+// [0, n) into chunkCount(n, size) chunks of size items (the last may be
+// shorter) and returns when every chunk has run. Up to GOMAXPROCS workers,
+// the calling goroutine among them, claim chunk indices from one atomic
+// counter. Each worker calls newWorker once for its chunk function, so
+// per-worker scratch lives in that closure, then calls it as fn(c, lo, hi)
+// for every chunk c = [lo, hi) it claims.
+func forChunks(n, size int, newWorker func() func(c, lo, hi int)) {
+	chunks := chunkCount(n, size)
+	if chunks == 0 {
 		return
 	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
+	var next atomic.Int64
+	work := func() {
+		fn := newWorker()
+		for c := int(next.Add(1) - 1); c < chunks; c = int(next.Add(1) - 1) {
+			fn(c, c*size, min((c+1)*size, n))
 		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
 	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), chunks) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
 	wg.Wait()
 }
 
-// slotProbs builds the slot-indexed inclusion-probability table of the
-// estimation fast path: probs[slot] = q = min{1, w/z*} for every sampled
-// edge, indexed by the edge's heap arena slot. q depends only on the stored
-// weight and the current threshold, so one O(m) pass replaces every
-// per-enumeration hash probe of Algorithm 2's inner loops with a contiguous
-// array read. Entries at freed arena slots are left 0 and are never read:
-// adjacency slot runs list live slots only. The table is immutable and may
-// be shared by any number of estimator workers; it is invalidated by the
-// next Process.
-func (s *Sampler) slotProbs() []float64 {
-	probs := make([]float64, s.res.heap.ArenaLen())
+// slotInvProbs builds the slot-indexed table every post-stream estimator
+// reads its probabilities from: inv[slot] = 1/q(k), q = min{1, w/z*}, for
+// the sampled edge k stored at that heap arena slot. One O(m) pass does
+// the only division per edge, so no estimator loop divides, and the
+// Horvitz-Thompson weights are products of table entries. Entries at freed
+// arena slots are left 0 and are never read: adjacency slot runs list live
+// slots only. The table is immutable, may be shared by any number of
+// estimator workers, and is invalidated by the next Process.
+//
+// byMark is the same table behind one leading entry, 0: byMark[slot+1] is
+// inv[slot], and byMark[0] stands for no slot. Algorithm 2's marks hold a
+// slot plus one, 0 when unmarked, and index byMark directly.
+func (s *Sampler) slotInvProbs() (inv, byMark []float64) {
+	byMark = make([]float64, s.res.heap.ArenaLen()+1)
+	inv = byMark[1:]
 	for i, n := 0, s.res.Len(); i < n; i++ {
 		slot := s.res.heap.SlotAt(i)
-		probs[slot] = s.probForWeight(s.res.heap.BySlot(slot).Weight)
+		inv[slot] = 1 / s.probForWeight(s.res.heap.BySlot(slot).Weight)
 	}
-	return probs
+	return inv, byMark
 }
 
 // slotEnds builds the slot-indexed endpoint table of the estimation fast
 // path: ends[slot] holds the adjacency dense ids of the U and V endpoints
 // of the edge stored at slot, filled by one pass over the adjacency runs
-// (graph.Adjacency.SlotEnds). The per-edge scans then read both endpoint
-// runs by dense id instead of looking each endpoint up in the node table.
-// Like slotProbs the table is transient, shareable across workers, and
+// (graph.Adjacency.SlotEnds). The scans then reach the run of an edge's
+// other endpoint by dense id instead of looking it up in the node table.
+// Like slotInvProbs the table is transient, shareable across workers, and
 // invalidated by the next Process; freed slots are left zero and never
 // read.
 func (s *Sampler) slotEnds() [][2]int32 {

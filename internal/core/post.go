@@ -1,100 +1,91 @@
 package core
 
+import "gps/internal/graph"
+
 // EstimatePost implements Algorithm 2 (GPSEstimate): unbiased post-stream
 // estimation of triangle and wedge counts, their variances and their
 // covariance, from the current reservoir. It may be called at any point in
-// the stream; the reservoir is only read.
+// the stream; the reservoir is only read. Beyond Algorithm 2, the same pass
+// evaluates the triangle–wedge covariance of Eq. 12 via a per-edge
+// factorization (see postKernel.edge), which Table 1 needs for the
+// post-stream clustering-coefficient intervals. Under forward decay the
+// same pass estimates the decayed counts (see decay.go).
 //
-// The computation is local per sampled edge (§4 "Efficiency"): for edge
-// k=(v1,v2) the estimators enumerate the sampled neighborhoods of its
-// endpoints, so the whole scan costs O(Σ_k min{deg(v1),deg(v2)}) ⊆ O(m^{3/2})
-// and parallelizes over reservoir slots, mirroring the paper's "parallel for"
-// loop. Beyond Algorithm 2, the same pass evaluates the triangle–wedge
-// covariance of Eq. 12 via a per-edge factorization (see covTW below), which
-// Table 1 needs for the post-stream clustering-coefficient intervals.
+// The computation is local per sampled edge (§4 "Efficiency"). The scan
+// visits each sampled edge k = {u,v} once, at its owner u: the endpoint
+// with the longer adjacency run, or the larger NodeID on a tie. Before its
+// first owned edge that can close a triangle, the owner marks its
+// neighbours in a per-worker array indexed by dense id. Triangle search
+// then scans only v's run, the shorter one, against those marks, so it
+// costs O(Σ_k min{deg(u),deg(v)}) ⊆ O(m^{3/2}). The wedge sums read both
+// runs in full, O(Σ_k (deg(u)+deg(v))), as three independent power sums of
+// table reads, with no division in any loop.
 //
-// The scan runs on the slot-indexed fast path: one O(m) pass precomputes
-// q(slot) = min{1, w/z*} per heap arena slot (slotProbs), another the
-// dense ids of each sampled edge's endpoints (slotEnds), and the inner
-// loops then resolve both endpoint runs and every enumerated neighbor and
-// triangle edge by array reads — zero hash probes.
-// Enumeration and summation order match the lookup-based reference
-// (EstimatePostLookup) exactly, so the results are bit-identical, which the
-// equality tests assert.
+// Probabilities come from one slot-indexed table of 1/q (slotInvProbs),
+// the other endpoint's run and every neighbour's mark position from the
+// endpoint table (slotEnds): no hash probes. The owners are cut into fixed
+// chunks of dense ids, which up to GOMAXPROCS workers claim, and the
+// chunks' partials are summed in chunk order. Dense-id order is part of
+// the sample's state (checkpoints carry it), so the result is a function
+// of the sample alone: bit-identical on any core count.
 func EstimatePost(s *Sampler) Estimates {
-	if s.Decayed() {
-		// Forward decay retargets the estimators at the decayed counts: the
-		// same scan, with per-motif decay factors (see decay.go).
-		return estimatePostDecayed(s)
-	}
-	n := s.res.Len()
-	probs, ends := s.slotProbs(), s.slotEnds()
-	workers := estimateWorkers(n)
-	parts := make([]partial, workers)
-	parallelFor(n, workers, func(w, lo, hi int) {
-		// Accumulate on the worker's own stack and publish once: adjacent
-		// parts entries never see concurrent writes, so no padding games
-		// are needed to avoid false sharing.
-		var local partial
-		for i := lo; i < hi; i++ {
-			local.add(s.estimateEdge(s.res.heap.SlotAt(i), probs, ends))
-		}
-		parts[w] = local
+	k := s.newPostKernel()
+	n := s.res.adj.DenseLen()
+	parts := make([]partial, chunkCount(n, ownerChunk))
+	forChunks(n, ownerChunk, func() func(c, lo, hi int) {
+		marks := make([]int32, n)
+		return func(c, lo, hi int) { parts[c] = k.owners(lo, hi, marks) }
 	})
-	return reduceEstimates(parts, n, s.arrivals)
+	return reduceEstimates(parts, s)
 }
 
 // EstimateEdges returns Σ 1/q(k) over the sampled edges: the
 // Horvitz-Thompson estimate of the number of edges the sample stands for
 // (for a window query's merged sample, the in-window edges). It reads
-// q(k) from the slot table, summing in ForEachEdge's order, which fixes
+// 1/q(k) from the slot table, summing in ForEachEdge's order, which fixes
 // the floating-point result.
 func EstimateEdges(s *Sampler) float64 {
-	probs := s.slotProbs()
+	inv, _ := s.slotInvProbs()
 	adj := s.res.adj
 	var total float64
 	for id := range adj.DenseLen() {
 		u, nbrs, slots := adj.RunAt(id)
 		for j, v := range nbrs {
-			if u >= v {
-				continue // each edge once, from its lower endpoint's run
-			}
-			if q := probs[slots[j]]; q > 0 {
-				total += 1 / q
+			if u < v { // each edge once, from its lower endpoint's run
+				total += inv[slots[j]]
 			}
 		}
 	}
 	return total
 }
 
-// reduceEstimates folds per-worker partials (in worker order, so the
-// summation is deterministic for a fixed GOMAXPROCS) into the final
+// reduceEstimates sums the chunk partials in chunk order into the final
 // Estimates, applying Algorithm 2's 1/3 and 1/2 multiplicity corrections.
-// Both the slot-indexed and the lookup-based scans share it, keeping their
-// final reductions bit-identical by construction.
-func reduceEstimates(parts []partial, n int, arrivals uint64) Estimates {
+// The scan and its lookup twin in the tests share it, keeping their final
+// reductions bit-identical by construction.
+func reduceEstimates(parts []partial, s *Sampler) Estimates {
 	var total partial
 	for i := range parts {
-		total.nTri += parts[i].nTri
-		total.vTri += parts[i].vTri
-		total.cTri += parts[i].cTri
-		total.nW += parts[i].nW
-		total.vW += parts[i].vW
-		total.cW += parts[i].cW
-		total.covTW += parts[i].covTW
+		total.add(edgeTotals(parts[i]))
 	}
-	return Estimates{
+	est := Estimates{
 		Triangles:        total.nTri / 3,
 		Wedges:           total.nW / 2,
 		VarTriangles:     total.vTri/3 + total.cTri,
 		VarWedges:        total.vW/2 + total.cW,
 		CovTriangleWedge: total.covTW,
-		SampledEdges:     n,
-		Arrivals:         arrivals,
+		SampledEdges:     s.res.Len(),
+		Arrivals:         s.arrivals,
 	}
+	if s.Decayed() {
+		est.Decayed = true
+		est.DecayedEdges = total.edges
+		est.DecayHorizon = s.lastTS
+	}
+	return est
 }
 
-// edgeTotals is the per-edge outcome of the Algorithm 2 inner loops.
+// edgeTotals is the per-edge outcome of Algorithm 2's inner loops.
 // Counts and variances are still unnormalized: every triangle is enumerated
 // at each of its 3 edges and every wedge at each of its 2 edges; the caller
 // applies the 1/3 and 1/2 factors. Covariance sums need no normalization
@@ -104,16 +95,11 @@ type edgeTotals struct {
 	nTri, vTri, cTri float64 // N̂_k(△), V̂_k(△), Ĉ_k(△)
 	nW, vW, cW       float64 // N̂_k(Λ), V̂_k(Λ), Ĉ_k(Λ)
 	covTW            float64 // edge k's share of V̂(△,Λ), Eq. 12
+	edges            float64 // d(k)/q(k), the edge's share of DecayedEdges
 }
 
-// partial is one worker's accumulator. Workers accumulate locally and
-// write their element of the shared parts slice exactly once, so the
-// struct needs no cache-line padding.
-type partial struct {
-	nTri, vTri, cTri float64
-	nW, vW, cW       float64
-	covTW            float64
-}
+// partial is one chunk's accumulator: the sum of its edges' totals.
+type partial edgeTotals
 
 func (p *partial) add(t edgeTotals) {
 	p.nTri += t.nTri
@@ -123,100 +109,207 @@ func (p *partial) add(t edgeTotals) {
 	p.vW += t.vW
 	p.cW += t.cW
 	p.covTW += t.covTW
+	p.edges += t.edges
 }
 
-// estimateEdge runs Algorithm 2 lines 3-30 for the sampled edge stored at
-// the given heap slot and returns the per-edge totals.
+// postKernel is one Algorithm 2 pass's read-only view of the sample: the
+// adjacency runs and three slot-indexed tables. All workers share it.
+type postKernel struct {
+	adj            *graph.Adjacency
+	ends           [][2]int32 // dense ids of each edge's endpoints (slotEnds)
+	inv, invByMark []float64  // 1/q(k) by slot and by mark (slotInvProbs)
+	// d(k) by slot and by mark (slotDecays); nil when undecayed.
+	decays, decayByMark []float64
+	// visit, when set, is called with the slot of every edge its owner
+	// takes up, and with -1 after each owner has cleared its marks. It is
+	// a test hook: production leaves it nil.
+	visit func(slot int32)
+}
+
+func (s *Sampler) newPostKernel() *postKernel {
+	k := &postKernel{adj: s.res.adj, ends: s.slotEnds()}
+	k.inv, k.invByMark = s.slotInvProbs()
+	if s.Decayed() {
+		k.decays, k.decayByMark = s.slotDecays()
+	}
+	return k
+}
+
+// owns reports whether the endpoint u, with a run of du neighbours, owns
+// its edge to v, whose run has dv: the longer run owns the edge, the larger
+// NodeID on a tie.
+func owns(du int, u graph.NodeID, dv int, v graph.NodeID) bool {
+	return du > dv || du == dv && u > v
+}
+
+// other returns the dense id of the endpoint of the edge at slot that is
+// not id: the endpoint table holds both, and id is one of them.
+func (k *postKernel) other(slot, id int32) int32 {
+	e := k.ends[slot]
+	return e[0] ^ e[1] ^ id
+}
+
+// owners runs Algorithm 2 over the edges owned by dense ids [lo, hi) and
+// returns their summed totals, in run order. marks is the worker's
+// scratch, one entry per dense id, zero on entry and on return: while an
+// owner u is handled, marks[w] holds the slot of the edge {u,w} plus one
+// for every neighbour w of u. An owner marks only when one of its edges
+// can close a triangle, that is when the other endpoint has a second
+// neighbour.
+func (k *postKernel) owners(lo, hi int, marks []int32) partial {
+	var p partial
+	for id := lo; id < hi; id++ {
+		u, nu, su := k.adj.RunAt(id)
+		marked := false
+		for j, v := range nu {
+			slot := su[j]
+			vid := k.other(slot, int32(id))
+			_, nv, sv := k.adj.RunAt(int(vid))
+			if !owns(len(nu), u, len(nv), v) {
+				continue
+			}
+			if k.visit != nil {
+				k.visit(slot)
+			}
+			if len(nu) == 1 {
+				// Both ends of degree 1: no wedge partner and no triangle,
+				// so every term but the edge share is 0, and adding 0
+				// leaves the partial's bits as they are.
+				p.edges += k.decay(slot) * k.inv[slot]
+				continue
+			}
+			if !marked && len(nv) > 1 {
+				for _, s := range su {
+					marks[k.other(s, int32(id))] = s + 1
+				}
+				marked = true
+			}
+			k.edge(&p, slot, u, su, j, vid, nv, sv, marks)
+		}
+		if marked {
+			for _, s := range su {
+				marks[k.other(s, int32(id))] = 0
+			}
+		}
+		if k.visit != nil {
+			k.visit(-1)
+		}
+	}
+	return p
+}
+
+// edge runs Algorithm 2 lines 3-30 for the sampled edge k = {u,v} stored
+// at slot, handled at its owner u, and adds the edge's totals to p. su is
+// u's slot run, with k at index j; nv and sv are v's neighbour and slot
+// runs, and vid is v's dense id.
 //
-// Per-edge quantities, with q = q(k) and q1/q2 the probabilities of the
-// other edges of each enumerated triangle (k1,k2,k) or wedge (k1,k):
+// With invQ = 1/q(k), decay factor d_k (1 when undecayed), and for each
+// wedge partner j of k (every other edge of u and of v) the value
+// x_j = min(d_k,d_j)/q_j, the wedge terms are three power sums:
 //
-//	N̂_k(△)  = Σ_τ∋k (q·q1·q2)⁻¹
-//	V̂_k(△)  = Σ_τ∋k (q·q1·q2)⁻¹((q·q1·q2)⁻¹−1)
-//	Ĉ_k(△)  = 2·q⁻¹(q⁻¹−1)·Σ_{τ<τ'∋k} (q1q2)⁻¹(q1'q2')⁻¹
+//	X1 = Σ x_j,  X2 = Σ x_j²,  Y = Σ min(d_k,d_j)·x_j
+//	N̂_k(Λ) = invQ·X1,  V̂_k(Λ) = invQ²·X2 − invQ·Y,
+//	Ĉ_k(Λ) = invQ(invQ−1)·(X1² − X2)     (= 2·invQ(invQ−1)·Σ_{i<j} x_i x_j)
 //
-// and analogously for wedges. For the triangle–wedge covariance (Eq. 12)
-// the pair sum over {(τ,λ) : τ∩λ≠∅} factorizes per edge:
+// For each triangle τ = (k, k1, k2) found at k, with t_τ = 1/(q1·q2),
+// a_τ = d_τ·t_τ and d_τ = min(d_k, d_1, d_2), the decay of its oldest
+// edge:
 //
-//	A_k = Σ_{τ∋k} Ŝ_{τ∖k},  B_k = Σ_{λ∋k} Ŝ_{λ∖k}
-//	pairs sharing exactly k: q⁻¹(q⁻¹−1)·(A_k·B_k − D_k), where
-//	D_k = Σ_{τ∋k} Ŝ_{τ∖k}(1/q1 + 1/q2) removes the wedge⊂triangle pairs,
-//	which instead contribute Ŝ_τ(Ŝ_λ−1); each such pair is added once, at
-//	the triangle edge opposite the wedge.
+//	N̂_k(△) = Σ_τ d_τ·invQ·t_τ,  V̂_k(△) = Σ_τ d_τ²·invQ·t_τ(invQ·t_τ − 1)
+//	Ĉ_k(△) = invQ(invQ−1)·(A1² − A2),  A1 = Σ a_τ, A2 = Σ a_τ²
 //
-// Both endpoint runs are read by the dense ids in the endpoint table, and
-// every probability from the slot table: the wedge partner's slot rides
-// alongside the neighbor id in v1's (and v2's) slot run, and triangle
-// detection is a two-pointer merge against v2's run — v1's neighbors arrive
-// in ascending order, so a single monotone cursor into v2's sorted run
-// replaces the per-neighbor hash probe of the membership test and yields
-// the third edge's slot at the match position.
-func (s *Sampler) estimateEdge(slot int32, probs []float64, ends [][2]int32) edgeTotals {
+// For the triangle–wedge covariance (Eq. 12) the pair sum over
+// {(τ,λ) : τ∩λ≠∅} factorizes per edge: pairs sharing exactly k contribute
+// invQ(invQ−1)·(A1·X1 − D), where D = Σ_τ a_τ(x_{k1} + x_{k2}) removes the
+// wedge⊂triangle pairs; those instead contribute Ŝ_τ(Ŝ_λ−1), each added
+// once, at the triangle edge opposite the wedge (the sub term).
+//
+// With no decay table every d is 1, so every product by d is exact and the
+// sums equal the decayed ones at d ≡ 1 bit for bit.
+func (k *postKernel) edge(p *partial, slot int32, u graph.NodeID, su []int32, j int, vid int32,
+	nv []graph.NodeID, sv []int32, marks []int32) {
+	inv, decays := k.inv, k.decays
+	invQ, dk := inv[slot], k.decay(slot)
+
+	// X1, X2, Y over u's other edges; undecayed, Y is X1 and is not kept.
+	x1, x2, y := k.wedgeSums(su[:j], dk, 0, 0, 0)
+	x1, x2, y = k.wedgeSums(su[j+1:], dk, x1, x2, y)
+
 	var t edgeTotals
-	invQ := 1 / probs[slot]
+	var a1, a2, dsum, sub float64 // A1, A2, D and the sub term
+	for i, w := range nv {
+		if w == u {
+			continue // k itself is no wedge partner
+		}
+		s2 := sv[i]
+		x := inv[s2]
+		if decays != nil {
+			d := minDecay(dk, decays[s2])
+			x *= d
+			y += d * x
+		}
+		x1 += x
+		x2 += x * x
 
-	// Iterate the smaller endpoint's sampled neighborhood for triangle
-	// detection (§3.2 S4); wedges centered at both endpoints are
-	// enumerated in their respective loops.
-	v1, n1, s1, v2, n2, s2 := s.endpointRuns(slot, ends)
-	if len(n1) > len(n2) {
-		v1, v2 = v2, v1
-		n1, s1, n2, s2 = n2, s2, n1, s1
+		// Triangle τ = (k, k1 = {u,w}, k2 = {v,w}) when w is marked, that
+		// is when {u,w} is sampled. Unmarked, w reads mark 0, whose table
+		// entries make every term below zero, and adding zeros leaves the
+		// sums' bits as they are: on dense samples about as many
+		// neighbours close a triangle as do not, so no branch is taken.
+		m := marks[k.other(s2, vid)]
+		i1 := k.invByMark[m]
+		x1w, dTri, dOpp := i1, 1.0, 1.0 // x_{k1}, d_τ, decay of the wedge (k1,k2)
+		if decays != nil {
+			d1 := k.decayByMark[m]
+			x1w *= minDecay(dk, d1)
+			dOpp = minDecay(d1, decays[s2])
+			dTri = minDecay(dk, dOpp)
+		}
+		st := i1 * inv[s2] // t_τ = Ŝ_{τ∖k}
+		all := invQ * st   // Ŝ_τ
+		a := dTri * st     // a_τ
+		t.nTri += dTri * all
+		t.vTri += dTri * dTri * all * (all - 1)
+		a1 += a
+		a2 += a * a
+		dsum += a * (x1w + x)
+		sub += dTri * dOpp * all * (st - 1)
 	}
 
-	var cTriPairs float64 // Σ_{i<j} over triangles at k (running, Algorithm 2 line 15)
-	var cWPairs float64   // Σ_{i<j} over wedges at k (lines 20, 28)
-	var aK, bK, dK float64
-	var subWedge float64
-
-	j := 0 // monotone cursor into v2's run (triangle membership merge)
-	for i, v3 := range n1 {
-		if v3 == v2 {
-			continue // k itself is not a wedge partner
-		}
-		q1 := probs[s1[i]]
-		// Triangle (k1,k2,k) when v3 also neighbors v2.
-		for j < len(n2) && n2[j] < v3 {
-			j++
-		}
-		if j < len(n2) && n2[j] == v3 {
-			q2 := probs[s2[j]]
-			inv12 := 1 / (q1 * q2)
-			invAll := invQ * inv12
-			t.nTri += invAll
-			t.vTri += invAll * (invAll - 1)
-			t.cTri += cTriPairs * inv12
-			cTriPairs += inv12
-			aK += inv12
-			dK += inv12 * (1/q1 + 1/q2)
-			subWedge += invAll * (inv12 - 1)
-		}
-		// Wedge (v3,v1,v2) centered at v1.
-		invW := invQ / q1
-		t.nW += invW
-		t.vW += invW * (invW - 1)
-		t.cW += cWPairs / q1
-		cWPairs += 1 / q1
-		bK += 1 / q1
+	if decays == nil {
+		y = x1 // every d is 1
 	}
-	for i, v3 := range n2 {
-		if v3 == v1 {
-			continue
-		}
-		q2 := probs[s2[i]]
-		invW := invQ / q2
-		t.nW += invW
-		t.vW += invW * (invW - 1)
-		t.cW += cWPairs / q2
-		cWPairs += 1 / q2
-		bK += 1 / q2
-	}
+	c := invQ * (invQ - 1)
+	t.nW = invQ * x1
+	t.vW = invQ*invQ*x2 - invQ*y
+	t.cW = c * (x1*x1 - x2)
+	t.cTri = c * (a1*a1 - a2)
+	t.covTW = c*(a1*x1-dsum) + sub
+	t.edges = dk * invQ
+	p.add(t)
+}
 
-	// Scale the pair sums into Ĉ_k (Algorithm 2 lines 29-30).
-	scale := 2 * invQ * (invQ - 1)
-	t.cTri *= scale
-	t.cW *= scale
-	// Triangle–wedge covariance share of edge k (Eq. 12; see doc comment).
-	t.covTW = invQ*(invQ-1)*(aK*bK-dK) + subWedge
-	return t
+// wedgeSums adds the wedge partners at the given slots to the power sums
+// X1 = Σx, X2 = Σx² and Y = Σd·x, where x = d/q and d = min(d_k, d_j);
+// undecayed, Y is left alone.
+func (k *postKernel) wedgeSums(slots []int32, dk, x1, x2, y float64) (float64, float64, float64) {
+	for _, s := range slots {
+		x := k.inv[s]
+		if k.decays != nil {
+			d := minDecay(dk, k.decays[s])
+			x *= d
+			y += d * x
+		}
+		x1 += x
+		x2 += x * x
+	}
+	return x1, x2, y
+}
+
+// decay returns d(k) of the edge at slot: 1 when undecayed.
+func (k *postKernel) decay(slot int32) float64 {
+	if k.decays == nil {
+		return 1
+	}
+	return k.decays[slot]
 }

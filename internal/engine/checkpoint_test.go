@@ -3,8 +3,11 @@ package engine
 import (
 	"bytes"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -267,6 +270,57 @@ func TestCrashRestartEquivalenceTriangleWeight(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameSignature(t, "restored vs uninterrupted (triangle)", mRestored, mFull)
+}
+
+// TestCheckpointEstimatesIndependentOfGOMAXPROCS writes a checkpoint at
+// GOMAXPROCS 4, restores it at GOMAXPROCS 1, and requires the restored
+// engine's estimates to carry the same bits as those taken at 4: a
+// checkpoint moved to a host with another core count answers exactly as
+// before.
+func TestCheckpointEstimatesIndependentOfGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	edges := testStream(3000, 60_000, 0x6E0)
+	for _, tc := range []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"triangle", core.Config{Capacity: 6000, Weight: core.TriangleWeight, Seed: 0x41}},
+		{"decayed", core.Config{Capacity: 6000, Weight: core.TriangleWeight, Seed: 0x42, Decay: core.Decay{HalfLife: 20_000}}},
+	} {
+		runtime.GOMAXPROCS(4)
+		p, err := NewParallel(tc.cfg, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feedBatches(p, edges, 1024)
+		doc := engineCheckpoint(t, p, "triangle")
+		merged, err := p.Merge()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Close()
+		want := core.EstimatePost(merged)
+
+		runtime.GOMAXPROCS(1)
+		restored := restoreEngine(t, doc)
+		merged, err = restored.Merge()
+		restored.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := core.EstimatePost(merged)
+		if want.Triangles == 0 || want.CovTriangleWedge == 0 {
+			t.Fatalf("%s: sample closes no triangle: %+v", tc.name, want)
+		}
+		g, w := reflect.ValueOf(got), reflect.ValueOf(want)
+		for i := range g.NumField() {
+			gf, wf := g.Field(i), w.Field(i)
+			if gf.Kind() == reflect.Float64 && math.Float64bits(gf.Float()) != math.Float64bits(wf.Float()) ||
+				gf.Kind() != reflect.Float64 && gf.Interface() != wf.Interface() {
+				t.Errorf("%s: %s = %v restored at GOMAXPROCS 1, %v at 4", tc.name, g.Type().Field(i).Name, gf, wf)
+			}
+		}
+	}
 }
 
 // TestCheckpointDirtyShardReuse pins the incremental checkpoint contract
