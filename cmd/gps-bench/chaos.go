@@ -23,8 +23,10 @@ import (
 	"gps"
 	"gps/internal/client"
 	"gps/internal/fault"
+	"gps/internal/gen"
 	"gps/internal/graph"
 	"gps/internal/serve"
+	"gps/internal/stream"
 )
 
 // chaosReport is the experiment's outcome, rendered for humans below.
@@ -46,7 +48,7 @@ func chaosBench(edges, sample, shards int, seed uint64) (string, error) {
 	if edges < 2 || sample < 1 || shards < 1 {
 		return "", fmt.Errorf("chaos: need -edges >= 2 and positive -sample, -shards")
 	}
-	es, _ := rmatStream(edges, seed)
+	es := rmatStream(edges, seed)
 	edges = len(es)
 	cfg := func() serve.Config {
 		return serve.Config{
@@ -351,4 +353,18 @@ func renderChaos(rep chaosReport) string {
 	fmt.Fprintf(&b, "dedup: %d lost-ack retries answered duplicate; checkpoint recovered after fsync fault: %v\n",
 		rep.Stats.DuplicateBatches, rep.CheckpointOK)
 	return b.String()
+}
+
+// rmatStream generates a permuted R-MAT stream of (up to) the requested
+// length, choosing the scale so the generator can supply it.
+func rmatStream(edges int, seed uint64) []graph.Edge {
+	scale := 10
+	for (1<<scale)*16 < edges {
+		scale++
+	}
+	all := gen.RMAT(scale, 16, 0.57, 0.19, 0.19, seed)
+	if len(all) < edges {
+		edges = len(all)
+	}
+	return stream.Collect(stream.Permute(all, seed^0x7EA))[:edges]
 }

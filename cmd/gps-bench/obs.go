@@ -1,287 +1,16 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"io"
-	"net/http"
-	"net/http/httptest"
 	"os"
-	"runtime"
-	"sort"
-	"strings"
-	"time"
 
-	"encoding/json"
-
-	"gps"
-	"gps/internal/graph"
 	"gps/internal/obs"
-	"gps/internal/serve"
-	"gps/internal/stream"
 )
 
-// obsReport is the observability-overhead experiment: the engine ingest hot
-// path and the cached-query serve path, measured on whichever build flavor
-// this binary is (Instrumented records it). scripts/bench.sh runs it twice
-// — once per flavor — and feeds both files into the perf report, which
-// computes the instrumented/noobs ratios the ≤2% overhead bar is judged on.
-type obsReport struct {
-	Schema       string `json:"schema"`
-	Instrumented bool   `json:"instrumented"`
-	Edges        int    `json:"edges"`
-	SampleM      int    `json:"m"`
-	Shards       int    `json:"shards"`
-	GoMaxProc    int    `json:"gomaxprocs"`
-
-	// Sharded-engine ingest, wall ns/edge, best of 5 (producers = shards):
-	// uniform, triangle and decayed — the three hot paths the drain-batch
-	// histogram sits on. Min over repetitions estimates the uncontended
-	// cost, which is what the flavor ratio compares.
-	IngestNSPerEdge map[string]float64 `json:"ingest_ns_per_edge"`
-
-	// Cached /v1/estimate latency through real HTTP (the instrumented route
-	// middleware is on this path), plus one /metrics scrape.
-	CachedQueryP50US float64 `json:"cached_query_p50_us"`
-	CachedQueryP99US float64 `json:"cached_query_p99_us"`
-	ScrapeMS         float64 `json:"scrape_ms"`
-	ScrapeFamilies   int     `json:"scrape_families"`
-	ScrapeSamples    int     `json:"scrape_samples"`
-}
-
-// obsBench measures the two surfaces instrumentation touches: raw engine
-// ingest (where per-batch histogram records must vanish into the noise) and
-// the serve query path (where the middleware adds per-request work by
-// design). The serve phase also scrapes and lints /metrics, so a failing
-// exposition fails the bench.
-func obsBench(edges, sample, shards int, seed uint64) (*obsReport, error) {
-	if edges < 1 || sample < 1 || shards < 1 {
-		return nil, fmt.Errorf("obs: need positive -edges, -sample and -shards")
-	}
-	es, _ := rmatStream(edges, seed)
-	edges = len(es)
-	r := &obsReport{
-		Schema:          "gps-bench/obs/v1",
-		Instrumented:    obs.Enabled,
-		Edges:           edges,
-		SampleM:         sample,
-		Shards:          shards,
-		GoMaxProc:       runtime.GOMAXPROCS(0),
-		IngestNSPerEdge: map[string]float64{},
-	}
-
-	bestOf := func(es []graph.Edge, cfg gps.Config) (float64, error) {
-		best := 0.0
-		for rep := 0; rep < 5; rep++ {
-			ns, _, err := ingestParallel(es, cfg, shards, shards)
-			if err != nil {
-				return 0, err
-			}
-			if best == 0 || ns < best {
-				best = ns
-			}
-		}
-		return best, nil
-	}
-	var err error
-	if r.IngestNSPerEdge["uniform"], err = bestOf(es, gps.Config{Capacity: sample, Seed: seed}); err != nil {
-		return nil, err
-	}
-	if r.IngestNSPerEdge["triangle"], err = bestOf(es, gps.Config{
-		Capacity: sample, Weight: gps.TriangleWeight, Seed: seed,
-	}); err != nil {
-		return nil, err
-	}
-	timed := make([]graph.Edge, len(es))
-	for i, e := range es {
-		timed[i] = e.At(uint64(i + 1))
-	}
-	if r.IngestNSPerEdge["decayed"], err = bestOf(timed, gps.Config{
-		Capacity: sample, Weight: gps.TriangleWeight, Seed: seed,
-		Decay: gps.Decay{HalfLife: float64(len(timed)) / 10},
-	}); err != nil {
-		return nil, err
-	}
-
-	// Serve path: a real server over loopback HTTP, queries hitting the
-	// snapshot cache (one refresh, then hits).
-	servedEdges := edges
-	if servedEdges > 200_000 {
-		servedEdges = 200_000 // the cached-query cost is m-bound, not stream-bound
-	}
-	srv, err := serve.NewServer(serve.Config{
-		Capacity:     sample,
-		Weight:       gps.TriangleWeight,
-		WeightName:   "triangle",
-		Seed:         seed,
-		Shards:       shards,
-		MaxStaleness: time.Second,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	const batch = 8192
-	for lo := 0; lo < servedEdges; lo += batch {
-		hi := lo + batch
-		if hi > servedEdges {
-			hi = servedEdges
-		}
-		var buf bytes.Buffer
-		if err := stream.WriteBinary(&buf, es[lo:hi]); err != nil {
-			return nil, err
-		}
-		resp, err := http.Post(ts.URL+"/v1/ingest", stream.BinaryContentType, &buf)
-		if err != nil {
-			return nil, err
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			return nil, fmt.Errorf("obs: ingest status %d", resp.StatusCode)
-		}
-	}
-	if resp, err := http.Post(ts.URL+"/v1/flush", "", nil); err != nil {
-		return nil, err
-	} else {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
-
-	const queries = 300
-	lat := make([]time.Duration, 0, queries)
-	for i := 0; i < queries; i++ {
-		start := time.Now()
-		resp, err := http.Get(ts.URL + "/v1/estimate")
-		if err != nil {
-			return nil, err
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		lat = append(lat, time.Since(start))
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	us := func(p float64) float64 {
-		return float64(lat[int(p*float64(len(lat)-1))]) / float64(time.Microsecond)
-	}
-	r.CachedQueryP50US = us(0.50)
-	r.CachedQueryP99US = us(0.99)
-
-	scrapeStart := time.Now()
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return nil, err
-	}
-	r.ScrapeMS = ms(time.Since(scrapeStart))
-	fams, samples, err := obs.CheckExposition(bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("obs: /metrics fails lint: %w", err)
-	}
-	r.ScrapeFamilies, r.ScrapeSamples = fams, samples
-	return r, nil
-}
-
-// renderObs is the human-readable form of the obs report.
-func renderObs(r *obsReport) string {
-	var b strings.Builder
-	flavor := "instrumented"
-	if !r.Instrumented {
-		flavor = "gps_noobs"
-	}
-	fmt.Fprintf(&b, "build: %s; stream: %d edges; m=%d, P=%d shards, GOMAXPROCS=%d\n\n",
-		flavor, r.Edges, r.SampleM, r.Shards, r.GoMaxProc)
-	fmt.Fprintf(&b, "engine ingest (ns/edge, best of 5, producers = shards):\n")
-	for _, k := range []string{"uniform", "triangle", "decayed"} {
-		fmt.Fprintf(&b, "  %-10s %8.0f\n", k, r.IngestNSPerEdge[k])
-	}
-	fmt.Fprintf(&b, "\ncached /v1/estimate over HTTP: p50 %.0fµs   p99 %.0fµs\n",
-		r.CachedQueryP50US, r.CachedQueryP99US)
-	fmt.Fprintf(&b, "/metrics scrape: %.2fms, %d families, %d samples (lint clean)\n",
-		r.ScrapeMS, r.ScrapeFamilies, r.ScrapeSamples)
-	return b.String()
-}
-
-// loadObsOverhead reads the obs report files bench.sh produced — a
-// comma-separated list per build flavor, one file per interleaved round —
-// checks they are what they claim to be, min-merges the rounds (the min
-// over interleaved A/B rounds estimates each flavor's uncontended cost,
-// cancelling slow drift a single back-to-back pair would fold into the
-// ratio), and computes the instrumented/noobs ratios embedded into the
-// perf report.
-func loadObsOverhead(instrPaths, noobsPaths string) (*obsOverhead, error) {
-	loadOne := func(path string, wantInstrumented bool) (*obsReport, error) {
-		b, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		var r obsReport
-		if err := json.Unmarshal(b, &r); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		if r.Schema != "gps-bench/obs/v1" {
-			return nil, fmt.Errorf("%s: schema %q, want gps-bench/obs/v1", path, r.Schema)
-		}
-		if r.Instrumented != wantInstrumented {
-			return nil, fmt.Errorf("%s: instrumented=%v — the flavors are swapped or the same binary ran twice",
-				path, r.Instrumented)
-		}
-		return &r, nil
-	}
-	load := func(paths string, wantInstrumented bool) (*obsReport, error) {
-		var merged *obsReport
-		for _, path := range strings.Split(paths, ",") {
-			r, err := loadOne(strings.TrimSpace(path), wantInstrumented)
-			if err != nil {
-				return nil, err
-			}
-			if merged == nil {
-				merged = r
-				continue
-			}
-			for k, v := range r.IngestNSPerEdge {
-				if old, ok := merged.IngestNSPerEdge[k]; !ok || v < old {
-					merged.IngestNSPerEdge[k] = v
-				}
-			}
-			if r.CachedQueryP50US < merged.CachedQueryP50US {
-				merged.CachedQueryP50US = r.CachedQueryP50US
-			}
-			if r.CachedQueryP99US < merged.CachedQueryP99US {
-				merged.CachedQueryP99US = r.CachedQueryP99US
-			}
-		}
-		return merged, nil
-	}
-	instr, err := load(instrPaths, true)
-	if err != nil {
-		return nil, err
-	}
-	noobs, err := load(noobsPaths, false)
-	if err != nil {
-		return nil, err
-	}
-	oh := &obsOverhead{Instrumented: instr, NoObs: noobs, IngestRatio: map[string]float64{}}
-	for k, n := range noobs.IngestNSPerEdge {
-		if n > 0 {
-			oh.IngestRatio[k] = instr.IngestNSPerEdge[k] / n
-		}
-	}
-	if noobs.CachedQueryP50US > 0 {
-		oh.CachedQueryP50Ratio = instr.CachedQueryP50US / noobs.CachedQueryP50US
-	}
-	return oh, nil
-}
-
 // lintExposition validates a Prometheus text exposition file with the
-// in-repo checker (gps-bench -lint FILE; "-" reads stdin). The smoke script
-// uses it to validate a live scrape without any external tooling.
+// in-repo checker (gps-bench -lint FILE; "-" reads stdin). The smoke scripts
+// use it to validate a live scrape without any external tooling.
 func lintExposition(path string, stdout io.Writer) error {
 	var r io.Reader = os.Stdin
 	if path != "-" {

@@ -98,7 +98,7 @@ func (s *Sampler) decayWeight(e *graph.Edge, w float64) float64 {
 		s.lastTS = ts
 	}
 	e.TS = ts
-	boosted := w * decayExp(s.lambda*(float64(ts)-float64(s.landmark)))
+	boosted := w * fastExp(s.lambda*(float64(ts)-float64(s.landmark)))
 	if boosted <= 0 || math.IsNaN(boosted) || math.IsInf(boosted, 0) {
 		panic(DecayOverflowError{msg: fmt.Sprintf(
 			"core: forward-decay weight %v for edge %d-%d at t=%d (landmark %d, half-life %v): "+
@@ -171,7 +171,7 @@ func (s *Sampler) slotDecays() (decays, byMark []float64) {
 	horizon := float64(s.lastTS)
 	for i, n := 0, s.res.Len(); i < n; i++ {
 		slot := s.res.heap.SlotAt(i)
-		decays[slot] = decayExp(s.lambda * (float64(s.res.heap.BySlot(slot).Edge.TS) - horizon))
+		decays[slot] = fastExp(s.lambda * (float64(s.res.heap.BySlot(slot).Edge.TS) - horizon))
 	}
 	return decays, byMark
 }

@@ -37,10 +37,6 @@ import "math"
 // e^-700 ≈ 1e-304) falls back to math.Exp. The sampler's own overflow
 // policy is unchanged: boosts beyond ~1000 half-lives still reach +Inf
 // (via the fallback) and still trip DecayOverflowError.
-//
-// decayExp — the name the decay code calls — resolves to fastExp by
-// default and to math.Exp under the gps_exactexp build tag, which exists
-// so the bit-exactness twin suites can compare the two paths.
 func fastExp(x float64) float64 {
 	if !(x >= -700 && x <= 700) {
 		return math.Exp(x) // NaN, ±Inf, overflow and subnormal tails

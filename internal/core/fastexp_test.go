@@ -104,17 +104,6 @@ func TestFastExpExactValues(t *testing.T) {
 	}
 }
 
-// TestDecayExpFlavor documents which implementation this build runs; the CI
-// matrix runs the core suite under both flavors, and the decay statistical
-// suites (NRMSE, crash-equivalence, undecayed-equivalence) pass under each.
-func TestDecayExpFlavor(t *testing.T) {
-	if decayExpExact {
-		t.Log("decayExp = math.Exp (gps_exactexp build)")
-	} else {
-		t.Log("decayExp = fastExp (default build)")
-	}
-}
-
 func BenchmarkMathExp(b *testing.B) {
 	x := -0.5
 	var sink float64

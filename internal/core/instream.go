@@ -112,7 +112,7 @@ func (t *InStream) Process(e graph.Edge) bool {
 		if ts == 0 {
 			ts = t.s.Processed()
 		}
-		t.decayedArrivals += decayExp(t.s.lambda * (float64(ts) - float64(t.s.landmark)))
+		t.decayedArrivals += fastExp(t.s.lambda * (float64(ts) - float64(t.s.landmark)))
 	}
 	return in
 }
@@ -144,7 +144,7 @@ func (t *InStream) retractEstimate(e graph.Edge) {
 		if b < a {
 			a = b
 		}
-		return decayExp(t.s.lambda * (float64(a) - float64(t.s.landmark)))
+		return fastExp(t.s.lambda * (float64(a) - float64(t.s.landmark)))
 	}
 
 	var subTri, subW float64
@@ -191,7 +191,7 @@ func (t *InStream) retractEstimate(e graph.Edge) {
 		// The departed edge no longer counts toward the exact decayed edge
 		// total. Unsampled deletions cannot be compensated here either —
 		// their arrival timestamp is gone with the eviction.
-		t.decayedArrivals -= decayExp(t.s.lambda * (float64(tsK) - float64(t.s.landmark)))
+		t.decayedArrivals -= fastExp(t.s.lambda * (float64(tsK) - float64(t.s.landmark)))
 		if t.decayedArrivals < 0 {
 			t.decayedArrivals = 0
 		}
@@ -275,7 +275,7 @@ func (t *InStream) estimateDecayed(k graph.Edge) int {
 		if b < a {
 			a = b
 		}
-		return decayExp(t.s.lambda * (float64(a) - float64(t.s.landmark)))
+		return fastExp(t.s.lambda * (float64(a) - float64(t.s.landmark)))
 	}
 
 	res.commonNeighborsWithSlots(k.U, k.V, func(v3 graph.NodeID, su, sv int32) bool {
@@ -337,7 +337,7 @@ func (t *InStream) Estimates() Estimates {
 		Arrivals:         t.s.arrivals,
 	}
 	if t.s.lambda > 0 {
-		gT := decayExp(t.s.lambda * (float64(t.s.lastTS) - float64(t.s.landmark)))
+		gT := fastExp(t.s.lambda * (float64(t.s.lastTS) - float64(t.s.landmark)))
 		est.Triangles /= gT
 		est.Wedges /= gT
 		est.VarTriangles /= gT * gT

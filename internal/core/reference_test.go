@@ -53,7 +53,7 @@ func (s *Sampler) lookupEdge(a, b graph.NodeID) (inv, d float64, ok bool) {
 	}
 	d = 1
 	if s.Decayed() {
-		d = decayExp(s.lambda * (float64(ent.Edge.TS) - float64(s.lastTS)))
+		d = fastExp(s.lambda * (float64(ent.Edge.TS) - float64(s.lastTS)))
 	}
 	return 1 / s.probForWeight(ent.Weight), d, true
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -158,6 +159,59 @@ func TestConcurrentShardDisjointProducersDeterministic(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestConcurrentOverlappingProducersSharedRings drives the mutex-serialized
+// multi-producer append under contention: producers feed contiguous stripes
+// of one stream, so every producer's batches reach every shard and appends
+// to one ring interleave. Per-shard order then depends on scheduling, and
+// priorities with it, so the check is on the edge set; a capacity above the
+// stream length keeps every edge, which makes that check exact: nothing
+// lost, duplicated or evicted. With -race this is the router's shared-ring
+// data-race suite.
+func TestConcurrentOverlappingProducersSharedRings(t *testing.T) {
+	const producers = 4
+	edges := testStream(2500, 10000, 0x57)
+	// 4× the stream length: each shard's capacity covers the whole stream.
+	p, err := newParallel(core.Config{Capacity: 4 * len(edges), Seed: 0x5EED}, 4, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	stripe := (len(edges) + producers - 1) / producers
+	var wg sync.WaitGroup
+	for pi := 0; pi < producers; pi++ {
+		part := edges[min(pi*stripe, len(edges)):min((pi+1)*stripe, len(edges))]
+		wg.Add(1)
+		go func(pi int, part []graph.Edge) {
+			defer wg.Done()
+			rng := randx.New(uint64(pi)*7919 + 1)
+			for off := 0; off < len(part); {
+				n := min(1+int(rng.Uint64()%300), len(part)-off)
+				p.ProcessBatch(part[off : off+n])
+				off += n
+			}
+		}(pi, part)
+	}
+	wg.Wait()
+
+	if got := p.Arrivals(); got != uint64(len(edges)) {
+		t.Fatalf("Arrivals = %d, want %d", got, len(edges))
+	}
+	m, err := p.Merge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, _ := signature(t, m)
+	want := make([]uint64, len(edges))
+	for i, e := range edges {
+		want[i] = e.Key()
+	}
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("merged sample holds %d edges, want the stream's %d distinct edges", len(got), len(want))
+	}
+	t.Logf("ring stalls: %d", p.RingStats().Stalls)
 }
 
 // TestRingOrderAndWraparound drives a tiny ring directly: every appended

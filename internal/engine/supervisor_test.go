@@ -8,8 +8,7 @@ import (
 	"gps/internal/fault"
 )
 
-// armFaults arms a fault spec for the duration of the test, skipping
-// under gps_nofault where the injection sites are compiled out.
+// armFaults arms a fault spec for the duration of the test.
 func armFaults(t *testing.T, seed uint64, spec string) {
 	t.Helper()
 	rules, err := fault.ParseSpec(spec)
@@ -18,9 +17,6 @@ func armFaults(t *testing.T, seed uint64, spec string) {
 	}
 	fault.Arm(seed, rules)
 	t.Cleanup(fault.Disarm)
-	if !fault.Enabled() {
-		t.Skip("fault injection compiled out (gps_nofault)")
-	}
 }
 
 // TestSupervisorExactRecovery is the headline self-healing property: a

@@ -16,10 +16,6 @@
 //		}
 //	}
 //
-// The gps_nofault build tag turns Enabled into a constant false so every
-// guarded site is dead-code-eliminated; CI builds that flavor to prove
-// the production binary carries no unintended dependency on injection.
-//
 // # Determinism
 //
 // Every rule draws its firing decisions from a private RNG seeded from
@@ -180,6 +176,10 @@ var (
 	armed atomic.Bool
 	reg   atomic.Pointer[registry]
 )
+
+// Enabled gates every fault point. Disarmed it is a single atomic load
+// returning false, so production hot paths pay one predicted branch.
+func Enabled() bool { return armed.Load() }
 
 // Arm installs the given rules (replacing any previously armed set) with
 // firing decisions derived from seed. An empty rule set disarms.

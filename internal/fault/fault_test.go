@@ -9,9 +9,6 @@ import (
 )
 
 // arm installs rules for the duration of the test and disarms afterwards.
-// Under gps_nofault the injection machinery is compiled out, so tests
-// that need firing rules skip (TestDisarmedIsNoop still runs: the no-op
-// contract is exactly what that flavor promises).
 func arm(t *testing.T, seed uint64, spec string) {
 	t.Helper()
 	rules, err := ParseSpec(spec)
@@ -20,9 +17,6 @@ func arm(t *testing.T, seed uint64, spec string) {
 	}
 	Arm(seed, rules)
 	t.Cleanup(Disarm)
-	if !Enabled() {
-		t.Skip("fault injection compiled out (gps_nofault)")
-	}
 }
 
 func TestDisarmedIsNoop(t *testing.T) {

@@ -3,6 +3,5 @@
 package obs
 
 // Enabled gates hot-path instrumentation. The gps_noobs build tag flips it
-// to false, compiling the guarded call sites out entirely; `gps-bench -exp
-// obs` compares the two builds to prove the instrumentation cheap.
+// to false, compiling the guarded call sites out entirely.
 const Enabled = true

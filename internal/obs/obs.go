@@ -18,9 +18,8 @@
 // the engine ring consumers) is guarded by the Enabled constant, which the
 // gps_noobs build tag flips to false: the guards and the time.Now calls
 // behind Start/ObserveSince then compile to nothing, giving a build with
-// the instrumentation provably absent. `gps-bench -exp obs` measures the
-// two builds against each other; the instrumented ingest hot path must
-// stay within ~2% of the gps_noobs build. Instruments themselves remain
+// the instrumentation provably absent. The instrumented ingest hot path
+// must stay within ~2% of the gps_noobs build. Instruments themselves remain
 // functional under the tag — only the guarded call sites disappear — so
 // cold-path metrics (per-request counters, checkpoint timings) still work.
 package obs

@@ -25,9 +25,6 @@ func armServeFaults(t *testing.T, seed uint64, spec string) {
 	}
 	fault.Arm(seed, rules)
 	t.Cleanup(fault.Disarm)
-	if !fault.Enabled() {
-		t.Skip("fault injection compiled out (gps_nofault)")
-	}
 }
 
 // postSequenced posts a batch with the at-least-once dedup headers.

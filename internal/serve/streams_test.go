@@ -18,6 +18,7 @@ import (
 
 	"gps/internal/gen"
 	"gps/internal/graph"
+	"gps/internal/obs"
 	"gps/internal/stream"
 )
 
@@ -361,6 +362,19 @@ func TestStreamConcurrentLifecycle(t *testing.T) {
 	flushStream(t, ts.URL, "")
 	if est := estimateStream(t, ts.URL, "", "?max_stale=0"); est.Arrivals == 0 {
 		t.Fatal("default stream lost its data during the lifecycle storm")
+	}
+
+	// Every worker's last round creates its stream, so both names survive
+	// the storm and their families, registered and unregistered throughout
+	// it, carry stream labels in the final scrape, which must lint clean.
+	scrape := scrapeMetrics(t, ts.URL)
+	for _, name := range []string{"s0", "s1"} {
+		if !strings.Contains(scrape, `stream="`+name+`"`) {
+			t.Fatalf("scrape has no %s-labelled sample:\n%s", name, scrape)
+		}
+	}
+	if _, _, err := obs.CheckExposition(strings.NewReader(scrape)); err != nil {
+		t.Fatalf("/metrics fails lint after the lifecycle storm: %v\n%s", err, scrape)
 	}
 }
 
