@@ -35,7 +35,7 @@ type chaosReport struct {
 	Baseline     client.Estimate
 	Faulted      client.Estimate
 	Injected     []fault.PointStatus
-	Stats        serve.StatsV1
+	Stats        chaosHealth
 	Attempts     int // total request attempts across the faulted run
 	Requests     int // logical client operations in the faulted run
 	CheckpointOK bool
@@ -295,21 +295,43 @@ func chaosPost(url string) (int, error) {
 	return resp.StatusCode, nil
 }
 
-func chaosStats(base string) (serve.StatsV1, error) {
-	var st serve.StatsV1
+// chaosHealth is what the drill reads back from the faulted server's
+// /v1/stats metrics.
+type chaosHealth struct {
+	ShardRestarts    uint64
+	LostEdges        uint64
+	Degraded         bool
+	DuplicateBatches uint64
+}
+
+func chaosStats(base string) (chaosHealth, error) {
 	resp, err := http.Get(base + "/v1/stats")
 	if err != nil {
-		return st, err
+		return chaosHealth{}, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return st, fmt.Errorf("stats: status %d", resp.StatusCode)
+		return chaosHealth{}, fmt.Errorf("stats: status %d", resp.StatusCode)
 	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return st, err
+	var doc struct {
+		Metrics map[string]float64 `json:"metrics"`
 	}
-	return st, json.Unmarshal(body, &st)
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		return chaosHealth{}, fmt.Errorf("stats: %w", err)
+	}
+	m := doc.Metrics
+	for _, name := range []string{"gps_engine_shard_restarts_total", "gps_engine_shard_lost_edges_total",
+		"gps_engine_shards_degraded", "gps_serve_duplicate_batches_total"} {
+		if _, ok := m[name]; !ok {
+			return chaosHealth{}, fmt.Errorf("stats: no %s metric", name)
+		}
+	}
+	return chaosHealth{
+		ShardRestarts:    uint64(m["gps_engine_shard_restarts_total"]),
+		LostEdges:        uint64(m["gps_engine_shard_lost_edges_total"]),
+		Degraded:         m["gps_engine_shards_degraded"] > 0,
+		DuplicateBatches: uint64(m["gps_serve_duplicate_batches_total"]),
+	}, nil
 }
 
 // chaosEquivalent demands bit-identical estimates between the lives.

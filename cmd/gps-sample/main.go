@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	gps-sample -in graph.txt -m 100000 [-weight triangle|uniform|adjacency|adaptive]
+//	gps-sample -in graph.txt -m 100000 [-weight triangle|uniform|adjacency]
 //	           [-permute] [-seed S] [-exact] [-half-life H] [-checkpoints N]
 //	           [-checkpoint-out f.gpsc] [-checkpoint-at N] [-restore f.gpsc]
 //
@@ -24,8 +24,7 @@
 // processed edges, simulating a crash at that point). -restore resumes from
 // such a checkpoint: rerun with the *same* input file and flags and the
 // consumed prefix is skipped, so the resumed run finishes exactly like an
-// uninterrupted one. The adaptive weight carries state outside the sampler
-// and cannot be checkpointed.
+// uninterrupted one.
 package main
 
 import (
@@ -67,7 +66,7 @@ func run(args []string, stdout, errw io.Writer) (err error) {
 	var (
 		in          = fs.String("in", "", "input edge-list file (required)")
 		m           = fs.Int("m", 100000, "reservoir capacity")
-		weightName  = fs.String("weight", "triangle", "weight function: triangle, uniform, adjacency, adaptive")
+		weightName  = fs.String("weight", "triangle", "weight function: triangle, uniform, adjacency")
 		permute     = fs.Bool("permute", false, "stream a random permutation instead of file order")
 		seed        = fs.Uint64("seed", 1, "sampler (and permutation) seed")
 		withExact   = fs.Bool("exact", false, "also compute exact counts for comparison")
@@ -153,11 +152,6 @@ func run(args []string, stdout, errw io.Writer) (err error) {
 			weight = gps.UniformWeight
 		case "adjacency":
 			weight = gps.AdjacencyWeight
-		case "adaptive":
-			if *ckptOut != "" {
-				return fmt.Errorf("the stateful adaptive weight cannot be checkpointed")
-			}
-			weight = gps.NewAdaptiveTriangleWeight(0.5)
 		default:
 			return fmt.Errorf("unknown weight %q", *weightName)
 		}

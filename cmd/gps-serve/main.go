@@ -51,16 +51,16 @@
 // drain, covering every acknowledged batch) before the process exits.
 // -faults/-fault-seed (or the GPS_FAULTS env var) arm the deterministic
 // fault-injection registry for chaos drills — never use in production; the
-// armed rules are visible in /v1/stats as fault_points.
+// armed rules are visible as the fault_points field of /v1/stats.
 //
 // Observability: GET /metrics serves the Prometheus text exposition of the
 // whole stack (HTTP, serve pipeline, engine, estimator, checkpoint I/O);
 // -log-requests adds one key=value log line per API request carrying the
 // response's X-Request-Id. -pprof ADDR serves net/http/pprof plus /metrics
 // on a second listener kept separate from the API port (bind it to loopback
-// in production). Off by default; /v1/stats carries the cheap always-on
-// gauges (ring depths, router stalls, shard backlog) so profiling is only
-// needed for deep dives.
+// in production). Off by default; the cheap always-on gauges (ring depths,
+// ring stalls, shard backlog) are in /metrics and /v1/stats, so profiling
+// is only needed for deep dives.
 //
 // Endpoints:
 //
@@ -83,8 +83,9 @@
 //	DELETE /v1/streams/{name}   delete a named stream (drains its queue first)
 //	GET  /v1/subscribe          server-sent events: one estimate per snapshot
 //	                            epoch of the selected stream
-//	GET  /v1/stats              ingest/queue/snapshot/checkpoint counters
-//	                            (typed, schema_version 2, per-stream section)
+//	GET  /v1/stats              every /metrics sample as JSON, plus each
+//	                            stream's config and shard health
+//	                            (schema_version 3)
 //	GET  /metrics               Prometheus text exposition (all layers;
 //	                            named streams labeled {stream="name"})
 //	GET  /healthz               liveness

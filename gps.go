@@ -156,9 +156,8 @@ type Parallel = engine.Parallel
 // priority sampling is mergeable. For topology-dependent weights
 // (TriangleWeight, AdjacencyWeight) each shard scores arrivals against its
 // own partial reservoir, so the weight targeting is approximate while the
-// Horvitz-Thompson normalization stays valid. Stateful weight functions
-// (NewAdaptiveTriangleWeight) must not be used here: shards share the
-// function and call it concurrently.
+// Horvitz-Thompson normalization stays valid. A weight function must be
+// stateless here: shards share the function and call it concurrently.
 func NewParallel(cfg Config, shards int) (*Parallel, error) { return engine.NewParallel(cfg, shards) }
 
 // MergeSamplers combines reservoirs of samplers that processed disjoint
@@ -227,14 +226,6 @@ func NewTriangleWeight(coef, base float64) WeightFunc {
 // NewAdjacencyWeight returns W(k,K̂) = coef·(deg(u)+deg(v)) + base.
 func NewAdjacencyWeight(coef, base float64) WeightFunc {
 	return core.NewAdjacencyWeight(coef, base)
-}
-
-// NewAdaptiveTriangleWeight returns a stateful triangle weight whose
-// coefficient adapts to the stream's observed triangle-completion rate —
-// the paper's §8 "adaptive-weight sampling" future work. Each returned
-// function must be used by exactly one Sampler.
-func NewAdaptiveTriangleWeight(targetShare float64) WeightFunc {
-	return core.NewAdaptiveTriangleWeight(targetShare)
 }
 
 // EstimateCliques4Post returns the unbiased 4-clique count estimate from the

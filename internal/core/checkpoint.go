@@ -524,9 +524,8 @@ func ReadInStreamCheckpoint(r io.Reader, resolve func(string) (WeightFunc, error
 // ResolveWeight maps a checkpoint's recorded weight name back to the
 // corresponding built-in pure weight function: "" and "uniform" to nil
 // (the uniform fast path), "triangle" to TriangleWeight, "adjacency" to
-// AdjacencyWeight. Any other name errors — in particular "adaptive", whose
-// state lives outside the sampler and cannot survive a checkpoint. Callers
-// with custom weights pass their own resolver to ReadCheckpoint instead.
+// AdjacencyWeight. Any other name errors. Callers with custom weights pass
+// their own resolver to ReadCheckpoint instead.
 func ResolveWeight(name string) (WeightFunc, error) {
 	switch name {
 	case "", "uniform":
@@ -535,8 +534,6 @@ func ResolveWeight(name string) (WeightFunc, error) {
 		return TriangleWeight, nil
 	case "adjacency":
 		return AdjacencyWeight, nil
-	case "adaptive":
-		return nil, fmt.Errorf("core: the stateful adaptive weight cannot be restored from a checkpoint")
 	}
 	return nil, fmt.Errorf("core: unknown checkpoint weight %q (want uniform, triangle or adjacency)", name)
 }

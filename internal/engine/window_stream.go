@@ -2,10 +2,8 @@ package engine
 
 import (
 	"errors"
-	"time"
 
 	"gps/internal/core"
-	"gps/internal/graph"
 	"gps/internal/obs"
 )
 
@@ -15,15 +13,6 @@ var (
 	errNotWindowed        = errors.New("engine: window queries need a windowed engine")
 	errNoStandingSnapshot = errors.New("engine: a windowed engine has no standing snapshot (queries merge panes fresh)")
 )
-
-// Process feeds one record through the batch path. Like Parallel.Process it
-// panics on a closed engine — the Stream contract for the single-record
-// feeder.
-func (w *Windowed) Process(e graph.Edge) {
-	if err := w.ProcessBatch([]graph.Edge{e}); err != nil {
-		panic(err)
-	}
-}
 
 // Snapshot fails on a windowed engine: there is no standing merged view —
 // Estimate answers fresh per query from the pane chain.
@@ -37,53 +26,21 @@ func (w *Windowed) Estimate(win uint64) (WindowEstimates, error) { return w.Quer
 // across the deletion fan-out — the fence flush barriers report.
 func (w *Windowed) Arrivals() uint64 { return w.Processed() }
 
-// Capacity returns the per-pane reservoir capacity m.
-func (w *Windowed) Capacity() int { return w.cfg.Capacity }
-
-// Shards returns the pinned shard count every pane runs with.
-func (w *Windowed) Shards() int { return w.cfg.Shards }
-
 // WindowSpec reports the window geometry (ok=true: this engine is windowed).
 func (w *Windowed) WindowSpec() (WindowConfig, bool) { return w.Config(), true }
-
-// Decay reports no forward decay: windowing and decay are mutually
-// exclusive time models.
-func (w *Windowed) Decay() core.Decay { return core.Decay{} }
 
 // DecayLandmark reports no landmark (windowed engines never decay).
 func (w *Windowed) DecayLandmark() (uint64, bool) { return 0, false }
 
-// DecayHorizon reports zero (the windowed event horizon is Horizon).
-func (w *Windowed) DecayHorizon() uint64 { return 0 }
-
 // The telemetry readers below delegate to the live pane. Rotation replaces
 // it, so every call re-fetches through Engine() for one point-in-time read —
 // the same discipline serve's scrapes always followed.
-
-// CheckpointStats reads the live pane's checkpoint counters.
-func (w *Windowed) CheckpointStats() (checkpoints, encoded, reused uint64) {
-	return w.Engine().CheckpointStats()
-}
-
-// SnapshotStats reads the live pane's snapshot counters.
-func (w *Windowed) SnapshotStats() (snapshots, cloned, reused uint64) {
-	return w.Engine().SnapshotStats()
-}
-
-// LastSnapshotStall reads the live pane's latest barrier stall.
-func (w *Windowed) LastSnapshotStall() time.Duration { return w.Engine().LastSnapshotStall() }
 
 // RingStats reads the live pane's ingest-ring gauges.
 func (w *Windowed) RingStats() RingStats { return w.Engine().RingStats() }
 
 // Health reads the live pane's per-shard supervisor health.
 func (w *Windowed) Health() ([]ShardHealth, bool) { return w.Engine().Health() }
-
-// Restarts reads the live pane's recovered-panic count.
-func (w *Windowed) Restarts() uint64 { return w.Engine().Restarts() }
-
-// LostEdges reads the live pane's lossy-recovery edge losses.
-func (w *Windowed) LostEdges() uint64 { return w.Engine().LostEdges() }
 
 // Degraded reads the live pane's sticky degradation flag.
 func (w *Windowed) Degraded() bool { return w.Engine().Degraded() }

@@ -274,8 +274,8 @@ func Hit(point string) error {
 	return injected
 }
 
-// PointStatus is the observable state of one armed rule, for /v1/stats
-// and test assertions.
+// PointStatus is the observable state of one armed rule, for the
+// fault_points field of /v1/stats and test assertions.
 type PointStatus struct {
 	Point string `json:"point"`
 	Kind  string `json:"kind"`

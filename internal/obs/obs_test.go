@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -127,6 +128,36 @@ func TestGoldenExposition(t *testing.T) {
 		t.Fatalf("golden output fails lint: %v", err)
 	} else if fams != 5 || samples == 0 {
 		t.Fatalf("lint saw %d families, %d samples", fams, samples)
+	}
+}
+
+// TestValues checks the JSON view against the golden registry: every
+// non-bucket sample line under its exposition name, and no non-finite
+// value, which would make the JSON encoding of the whole map fail.
+func TestValues(t *testing.T) {
+	reg := goldenRegistry()
+	reg.RegisterGaugeFunc("gps_test_nan", "Not a number.", math.NaN)
+	reg.RegisterGaugeFunc("gps_test_inf", "Infinite.", func() float64 { return math.Inf(-1) })
+	got := reg.Values()
+	want := map[string]float64{
+		"gps_test_batch_ns_sum":            12000,
+		"gps_test_batch_ns_count":          3,
+		`gps_test_depth{shard="0"}`:        5,
+		`gps_test_depth{shard="1"}`:        9,
+		"gps_test_edges_total":             42,
+		`gps_test_stalls_total{shard="0"}`: 7,
+		"gps_test_threshold":               0.25,
+	}
+	if len(got) != len(want) {
+		t.Fatalf("Values() = %v, want %v", got, want)
+	}
+	for name, v := range want {
+		if got[name] != v {
+			t.Fatalf("Values()[%s] = %v, want %v (all: %v)", name, got[name], v, got)
+		}
+	}
+	if _, err := json.Marshal(got); err != nil {
+		t.Fatalf("Values() does not encode as JSON: %v", err)
 	}
 }
 

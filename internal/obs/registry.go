@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -177,18 +178,6 @@ func (r *Registry) Unregister(match Label) int {
 	return removed
 }
 
-// Families returns the sorted names of all registered metric families.
-func (r *Registry) Families() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.fams))
-	for name := range r.fams {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // WritePrometheus renders every registered family, sorted by name, in the
 // text exposition format.
 func (r *Registry) WritePrometheus(w io.Writer) error {
@@ -221,6 +210,39 @@ func (r *Registry) Handler() http.Handler {
 func (f *family) write(b *strings.Builder) {
 	fmt.Fprintf(b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 	fmt.Fprintf(b, "# TYPE %s %s\n", f.name, f.kind)
+	f.lines(func(name, value string, _ bool) {
+		b.WriteString(name)
+		b.WriteByte(' ')
+		b.WriteString(value)
+		b.WriteByte('\n')
+	})
+}
+
+// Values reads every sample the text format renders, keyed by its
+// exposition name with labels (gps_engine_ring_depth{shard="0"}), as the
+// number that format prints. Histograms contribute their _sum and _count
+// only. A non-finite value is left out: JSON has no number for it, and
+// one such gauge must not cost a JSON document every other value.
+func (r *Registry) Values() map[string]float64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make(map[string]float64)
+	for _, f := range r.fams {
+		f.lines(func(name, value string, bucket bool) {
+			v, err := strconv.ParseFloat(value, 64)
+			if !bucket && err == nil && !math.IsNaN(v) && !math.IsInf(v, 0) {
+				out[name] = v
+			}
+		})
+	}
+	return out
+}
+
+// lines reads each sample of f once and calls line for every sample line
+// the text format prints, with its name (labels included) and its value
+// as printed; bucket marks a histogram's _bucket lines. write and Values
+// both read through it, so the two renderers cannot disagree.
+func (f *family) lines(line func(name, value string, bucket bool)) {
 	for _, s := range f.samples {
 		switch f.kind {
 		case kindCounter:
@@ -228,7 +250,7 @@ func (f *family) write(b *strings.Builder) {
 			if v == nil {
 				v = s.counter.Value
 			}
-			fmt.Fprintf(b, "%s%s %d\n", f.name, labelString(s.labels), v())
+			line(f.name+labelString(s.labels), strconv.FormatUint(v(), 10), false)
 		case kindGauge:
 			var v float64
 			if s.gaugeFn != nil {
@@ -236,17 +258,17 @@ func (f *family) write(b *strings.Builder) {
 			} else {
 				v = float64(s.gauge.Value())
 			}
-			fmt.Fprintf(b, "%s%s %s\n", f.name, labelString(s.labels), formatFloat(v))
+			line(f.name+labelString(s.labels), formatFloat(v), false)
 		case kindHistogram:
-			s.hist.write(b, f.name, s.labels)
+			s.hist.lines(f.name, s.labels, line)
 		}
 	}
 }
 
-// write renders one histogram instance: cumulative _bucket lines ending at
+// lines reads one histogram instance: cumulative _bucket lines ending at
 // le="+Inf", then _sum and _count. Cells are loaded once, so the bucket
 // lines are cumulative by construction even while producers record.
-func (h *Histogram) write(b *strings.Builder, name string, labels []Label) {
+func (h *Histogram) lines(name string, labels []Label, line func(name, value string, bucket bool)) {
 	var cum uint64
 	for i := range h.cells {
 		cum += h.cells[i].Load()
@@ -254,10 +276,11 @@ func (h *Histogram) write(b *strings.Builder, name string, labels []Label) {
 		if i < len(h.cells)-1 {
 			le = formatFloat(h.bound(i))
 		}
-		fmt.Fprintf(b, "%s_bucket%s %d\n", name, bucketLabels(labels, le), cum)
+		line(name+"_bucket"+bucketLabels(labels, le), strconv.FormatUint(cum, 10), true)
 	}
-	fmt.Fprintf(b, "%s_sum%s %s\n", name, labelString(labels), formatFloat(float64(h.sum.Load())*h.scale))
-	fmt.Fprintf(b, "%s_count%s %d\n", name, labelString(labels), cum)
+	ls := labelString(labels)
+	line(name+"_sum"+ls, formatFloat(float64(h.sum.Load())*h.scale), false)
+	line(name+"_count"+ls, strconv.FormatUint(cum, 10), false)
 }
 
 func formatFloat(v float64) string {

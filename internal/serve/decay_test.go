@@ -67,12 +67,12 @@ func TestServeDecayedEstimates(t *testing.T) {
 		t.Fatalf("decay fields missing: %v", est)
 	}
 
-	stats := decodeJSON[map[string]any](t, mustGet(t, ts.URL+"/v1/stats"))
-	if stats["decay_half_life"].(float64) != 120 {
-		t.Fatalf("stats decay_half_life = %v", stats["decay_half_life"])
+	st := getStats(t, ts.URL)
+	if st.Streams[0].HalfLife != 120 {
+		t.Fatalf("stats half_life = %v", st.Streams[0].HalfLife)
 	}
-	if stats["decay_horizon"].(float64) <= 0 {
-		t.Fatalf("stats decay_horizon = %v", stats["decay_horizon"])
+	if got := st.Metrics["gps_engine_decay_horizon"]; got <= 0 {
+		t.Fatalf("stats decay horizon = %v", got)
 	}
 
 	// Persist and boot a second server from the checkpoint with *no*
@@ -128,9 +128,8 @@ func TestServeSelfLoopPolicy(t *testing.T) {
 		t.Fatalf("binary ingest response: %v", body)
 	}
 
-	stats := decodeJSON[map[string]any](t, mustGet(t, ts.URL+"/v1/stats"))
-	if stats["self_loops_skipped"].(float64) != 2 {
-		t.Fatalf("stats self_loops_skipped = %v", stats["self_loops_skipped"])
+	if got := getStats(t, ts.URL).Metrics["gps_serve_self_loops_total"]; got != 2 {
+		t.Fatalf("stats self loops = %v", got)
 	}
 }
 

@@ -62,21 +62,18 @@ func fmtUint(v uint64) string {
 	return string(buf[i:])
 }
 
-// waitProcessed polls /v1/stats until edges_processed reaches want.
+// waitProcessed polls /v1/stats until gps_serve_edges_processed_total
+// reaches want.
 func waitProcessed(t *testing.T, url string, want uint64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		resp, err := http.Get(url + "/v1/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := decodeJSON[StatsV1](t, resp)
-		if st.EdgesProcessed >= want {
+		got := getStats(t, url).Metrics["gps_serve_edges_processed_total"]
+		if got >= float64(want) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("edges_processed = %d, want >= %d", st.EdgesProcessed, want)
+			t.Fatalf("edges processed = %g, want >= %d", got, want)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -120,12 +117,8 @@ func TestServeIngestDedup(t *testing.T) {
 		t.Fatalf("arrivals = %d, want %d (duplicate batch must not re-apply)", est.Arrivals, len(edges))
 	}
 
-	resp, err = http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := decodeJSON[StatsV1](t, resp); st.DuplicateBatches != 1 {
-		t.Fatalf("duplicate_batches = %d, want 1", st.DuplicateBatches)
+	if got := getStats(t, ts.URL).Metrics["gps_serve_duplicate_batches_total"]; got != 1 {
+		t.Fatalf("duplicate batches = %g, want 1", got)
 	}
 }
 
@@ -330,12 +323,8 @@ func TestServeEstimateDeadline(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	resp, err = http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := decodeJSON[StatsV1](t, resp); st.DegradedQueries == 0 {
-		t.Fatal("degraded_queries counter did not move")
+	if getStats(t, ts.URL).Metrics["gps_serve_degraded_queries_total"] == 0 {
+		t.Fatal("degraded queries counter did not move")
 	}
 }
 
@@ -359,12 +348,7 @@ func TestServeQueryShedding(t *testing.T) {
 	// been admitted and occupies the only slot.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		resp, err := http.Get(ts.URL + "/v1/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := decodeJSON[StatsV1](t, resp)
-		if st.InflightQueries >= 1 {
+		if getStats(t, ts.URL).Metrics["gps_serve_inflight_queries"] >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -387,12 +371,8 @@ func TestServeQueryShedding(t *testing.T) {
 	if status := <-first; status != http.StatusOK {
 		t.Fatalf("slot-holding query status = %d", status)
 	}
-	resp, err = http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := decodeJSON[StatsV1](t, resp); st.QueriesShed == 0 {
-		t.Fatal("queries_shed counter did not move")
+	if getStats(t, ts.URL).Metrics["gps_serve_shed_total"] == 0 {
+		t.Fatal("shed counter did not move")
 	}
 }
 
@@ -419,16 +399,12 @@ func TestServeIngestPanicRecovery(t *testing.T) {
 	resp.Body.Close()
 	flush(t, ts.URL)
 
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
+	m := getStats(t, ts.URL).Metrics
+	if got := m["gps_serve_ingest_panics_total"]; got != 1 {
+		t.Fatalf("ingest panics = %g, want 1", got)
 	}
-	st := decodeJSON[StatsV1](t, resp)
-	if st.IngestPanics != 1 {
-		t.Fatalf("ingest_panics = %d, want 1", st.IngestPanics)
-	}
-	if st.PendingBatches != 0 || st.PendingEdges != 0 {
-		t.Fatalf("pending counters leaked: batches=%d edges=%d", st.PendingBatches, st.PendingEdges)
+	if b, e := m["gps_serve_queue_batches"], m["gps_serve_queue_edges"]; b != 0 || e != 0 {
+		t.Fatalf("pending counters leaked: batches=%g edges=%g", b, e)
 	}
 }
 
@@ -456,16 +432,14 @@ func TestServeDegradedFromEngine(t *testing.T) {
 	if est := decodeJSON[estimateResponse](t, resp); !est.Degraded {
 		t.Fatal("estimate after lossy recovery not flagged degraded")
 	}
-	resp, err = http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
+	st := getStats(t, ts.URL)
+	m := st.Metrics
+	if m["gps_engine_shards_degraded"] != 1 || m["gps_engine_shard_restarts_total"] != 1 || m["gps_engine_shard_lost_edges_total"] == 0 {
+		t.Fatalf("stats = degraded shards %g, restarts %g, lost %g; want 1 degraded shard with 1 restart",
+			m["gps_engine_shards_degraded"], m["gps_engine_shard_restarts_total"], m["gps_engine_shard_lost_edges_total"])
 	}
-	st := decodeJSON[StatsV1](t, resp)
-	if !st.Degraded || st.ShardRestarts != 1 || st.LostEdges == 0 {
-		t.Fatalf("stats = degraded=%v restarts=%d lost=%d, want degraded with 1 restart", st.Degraded, st.ShardRestarts, st.LostEdges)
-	}
-	if len(st.ShardHealth) != 1 || !strings.Contains(st.ShardHealth[0].LastPanic, "engine.shard.drain") {
-		t.Fatalf("shard_health = %+v", st.ShardHealth)
+	if h := st.Streams[0].ShardHealth; len(h) != 1 || !strings.Contains(h[0].LastPanic, "engine.shard.drain") {
+		t.Fatalf("shard_health = %+v", h)
 	}
 }
 

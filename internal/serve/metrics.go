@@ -130,6 +130,9 @@ func (s *Server) registerServerMetrics() {
 	checkpoint.RegisterMetrics(s.reg)
 	s.reg.RegisterCounterFunc("gps_serve_checkpoint_files_total",
 		"Checkpoint files persisted by this server.", s.checkpointsWritten.Load)
+	s.reg.RegisterGaugeFunc("gps_serve_last_checkpoint_timestamp_seconds",
+		"Unix time of the last persisted checkpoint file (0 before the first).",
+		func() float64 { return float64(s.lastCheckpointNS.Load()) / 1e9 })
 	s.reg.RegisterGaugeFunc("gps_serve_uptime_seconds", "Seconds since the server booted.",
 		func() float64 { return time.Since(s.start).Seconds() })
 }
@@ -195,6 +198,11 @@ func (s *Server) registerTenantMetrics(t *tenant) {
 	s.reg.RegisterGaugeFunc("gps_serve_inflight_queries",
 		"Estimate/subgraph queries currently admitted.",
 		func() float64 { return float64(t.inflightQueries.Load()) }, l...)
+
+	s.reg.RegisterGaugeFunc("gps_serve_subscribers", "Live GET /v1/subscribe connections.",
+		func() float64 { return float64(t.subs.count()) }, l...)
+	s.reg.RegisterCounterFunc("gps_serve_subscriber_drops_total",
+		"Subscription events lost to full subscriber buffers.", t.subs.dropped.Load, l...)
 
 	// Estimator self-telemetry, read from the current immutable snapshot
 	// (zero until the first query takes one). The live shard samplers are

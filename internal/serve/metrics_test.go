@@ -7,10 +7,12 @@ import (
 	"net/http"
 	"os"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"gps/internal/core"
 	"gps/internal/gen"
@@ -36,6 +38,16 @@ func scrapeMetrics(t *testing.T, url string) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// getStats fetches the /v1/stats document.
+func getStats(t *testing.T, url string) statsDoc {
+	t.Helper()
+	doc := decodeJSON[statsDoc](t, mustGet(t, url+"/v1/stats"))
+	if doc.SchemaVersion != 3 {
+		t.Fatalf("schema_version = %d, want 3", doc.SchemaVersion)
+	}
+	return doc
 }
 
 // metricValue finds a sample line by its exact name (labels included) and
@@ -152,60 +164,134 @@ func TestServeMetricsFourLayers(t *testing.T) {
 	}
 
 	// The same quantities through the JSON plane agree.
-	st := decodeJSON[StatsV1](t, mustGet(t, ts.URL+"/v1/stats"))
-	if st.SchemaVersion != 2 {
-		t.Fatalf("schema_version = %d, want 2", st.SchemaVersion)
-	}
-	if float64(st.EdgesAccepted) != n || st.Shards != 2 || st.Capacity != 512 {
+	st := getStats(t, ts.URL)
+	if st.Metrics["gps_serve_edges_accepted_total"] != n || st.Streams[0].Shards != 2 || st.Streams[0].Capacity != 512 {
 		t.Fatalf("stats disagree with metrics: %+v", st)
 	}
 	if st.PprofAddr != "" {
 		t.Fatalf("pprof_addr = %q before SetPprofAddr", st.PprofAddr)
 	}
 	s.SetPprofAddr("127.0.0.1:4242")
-	if st := decodeJSON[StatsV1](t, mustGet(t, ts.URL+"/v1/stats")); st.PprofAddr != "127.0.0.1:4242" {
+	if st := getStats(t, ts.URL); st.PprofAddr != "127.0.0.1:4242" {
 		t.Fatalf("pprof_addr = %q after SetPprofAddr", st.PprofAddr)
 	}
 }
 
-// TestStatsMetricsPartition pins the namespace contract: every family the
-// registry serves is classified in exactly one of metricsPartition's two
-// lists. Adding a metric without deciding whether /v1/stats covers it
-// fails here.
-func TestStatsMetricsPartition(t *testing.T) {
-	configs := map[string]Config{
-		"plain":    {Capacity: 64, Seed: 1, Shards: 2},
-		"decayed":  {Capacity: 64, Seed: 1, Shards: 2, HalfLife: 4},
-		"windowed": {Capacity: 64, Seed: 1, Shards: 2, Window: 100, PaneWidth: 25},
+// TestStatsIsMetricsView pins /v1/stats as a view of the registry: after
+// an ingest, a flush and an estimate on every stream, its metrics hold
+// exactly the non-bucket samples of a /metrics scrape taken right after,
+// with equal values, on each engine shape and on a multi-stream server.
+// Only the HTTP families and uptime differ, moved by the two requests
+// themselves. The windowed server keeps every deletion in the live pane,
+// where the hand-filled schema-2 document read 60 applied deletions
+// against the 0 of gps_core_deletions_applied_total.
+func TestStatsIsMetricsView(t *testing.T) {
+	const dels = 60
+	inserts := timedTestEdges(400)
+	live := gen.ErdosRenyi(120, 200, 5)
+	for i := range live {
+		live[i] = live[i].At(uint64(i + 1))
 	}
-	for mode, cfg := range configs {
-		s, err := NewServer(cfg)
+	for _, e := range live[:dels] {
+		live = append(live, e.At(uint64(len(live)+1)).AsDeletion())
+	}
+	cases := []struct {
+		name  string
+		cfg   Config
+		feeds map[string][]graph.Edge // stream ("" = default) → records
+	}{
+		{"plain", Config{Capacity: 64, Seed: 1, Shards: 2}, map[string][]graph.Edge{"": inserts}},
+		{"decayed", Config{Capacity: 64, Seed: 1, Shards: 2, HalfLife: 50}, map[string][]graph.Edge{"": inserts}},
+		{"windowed", Config{Capacity: 512, Seed: 1, Shards: 2, Window: 1000}, map[string][]graph.Edge{"": live}},
+		{"three streams", Config{Capacity: 64, Seed: 1, Shards: 2, Streams: []StreamSpec{
+			{Name: "d", HalfLife: 50},
+			{Name: "w", Window: 800, PaneWidth: 200},
+		}}, map[string][]graph.Edge{"": inserts, "d": inserts, "w": inserts}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, ts := newTestServer(t, c.cfg)
+			for name, edges := range c.feeds {
+				resp := postTo(t, ts.URL, name, edges)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("ingest %q: status %d", name, resp.StatusCode)
+				}
+				flushStream(t, ts.URL, name)
+				resp = mustGet(t, streamURL(ts.URL, "/v1/estimate?max_stale=0s", name))
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("estimate %q: status %d", name, resp.StatusCode)
+				}
+			}
+			// A shard consumer counts its last wakeup and park after
+			// publishing the drained head a flush waits on, so the ring
+			// counters may still move once; compare until they settle.
+			var diffs []string
+			for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+				stats := getStats(t, ts.URL).Metrics
+				diffs = viewDiff(stats, scrapeValues(t, scrapeMetrics(t, ts.URL)))
+				if len(diffs) == 0 {
+					if c.name == "windowed" && (stats["gps_serve_deletion_records_total"] != dels || stats["gps_core_deletions_applied_total"] != 0) {
+						t.Fatalf("live-pane deletions: %g records, %g applied; want %d and 0 (no pane retired)",
+							stats["gps_serve_deletion_records_total"], stats["gps_core_deletions_applied_total"], dels)
+					}
+					return
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("/v1/stats metrics differ from /metrics:\n%s", strings.Join(diffs, "\n"))
+				}
+			}
+		})
+	}
+}
+
+// scrapeValues parses a /metrics scrape into its samples other than
+// histogram buckets, keyed by name with labels.
+func scrapeValues(t *testing.T, scrape string) map[string]float64 {
+	t.Helper()
+	out := make(map[string]float64)
+	buckets := "" // "<family>_bucket{" while inside a histogram family
+	for _, line := range strings.Split(scrape, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			buckets = ""
+			if f[3] == "histogram" {
+				buckets = f[2] + "_bucket{"
+			}
+		}
+		if line == "" || strings.HasPrefix(line, "#") || (buckets != "" && strings.HasPrefix(line, buckets)) {
+			continue
+		}
+		cut := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[cut+1:], 64)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("bad sample line %q: %v", line, err)
 		}
-		covered, only := s.metricsPartition()
-		classified := make(map[string]string, len(covered)+len(only))
-		for _, name := range covered {
-			classified[name] = "stats-covered"
-		}
-		for _, name := range only {
-			if prev, dup := classified[name]; dup {
-				t.Fatalf("%s: %s in both namespaces (%s and metrics-only)", mode, name, prev)
-			}
-			classified[name] = "metrics-only"
-		}
-		fams := s.Metrics().Families()
-		for _, name := range fams {
-			if _, ok := classified[name]; !ok {
-				t.Errorf("%s: family %s served but unclassified", mode, name)
-			}
-			delete(classified, name)
-		}
-		for name := range classified {
-			t.Errorf("%s: %s classified but not in the registry", mode, name)
-		}
-		s.Close()
+		out[line[:cut]] = v
 	}
+	return out
+}
+
+// viewDiff lists where the stats metrics and a scrape disagree, ignoring
+// the values the two requests themselves move.
+func viewDiff(stats, scrape map[string]float64) []string {
+	var diffs []string
+	for name, v := range scrape {
+		got, ok := stats[name]
+		switch {
+		case !ok:
+			diffs = append(diffs, name+": not in /v1/stats")
+		case got != v && !strings.HasPrefix(name, "gps_http_") && name != "gps_serve_uptime_seconds":
+			diffs = append(diffs, fmt.Sprintf("%s: /v1/stats %v, /metrics %v", name, got, v))
+		}
+	}
+	for name := range stats {
+		if _, ok := scrape[name]; !ok {
+			diffs = append(diffs, name+": not in /metrics")
+		}
+	}
+	sort.Strings(diffs)
+	return diffs
 }
 
 // TestMetricsTypeGolden pins the full family catalog — names and types —

@@ -1383,12 +1383,8 @@ func httpError(w http.ResponseWriter, status int, msg string) {
 // WeightByName maps a CLI/config weight name to the function the service
 // shards can share, delegating to core.ResolveWeight — the same mapping
 // checkpoint restore uses, so every weight the service can run it can also
-// restore. The stateful "adaptive" weight is rejected with a serve-specific
-// reason: shards evaluate the weight concurrently.
+// restore.
 func WeightByName(name string) (core.WeightFunc, error) {
-	if name == "adaptive" {
-		return nil, errors.New("serve: the stateful adaptive weight cannot be shared across shards")
-	}
 	w, err := core.ResolveWeight(name)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)

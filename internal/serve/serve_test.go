@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -438,51 +439,44 @@ func TestServeStatsAndHealth(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	resp, err = http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
+	st := getStats(t, ts.URL)
+	m := st.Metrics
+	if st.Streams[0].Weight != "triangle" {
+		t.Errorf("stats weight = %q", st.Streams[0].Weight)
 	}
-	stats := decodeJSON[map[string]any](t, resp)
-	if stats["weight"] != "triangle" {
-		t.Errorf("stats weight = %v", stats["weight"])
+	if got := m["gps_serve_edges_processed_total"]; got != float64(len(edges)) {
+		t.Errorf("edges processed = %g, want %d", got, len(edges))
 	}
-	if int(stats["edges_processed"].(float64)) != len(edges) {
-		t.Errorf("edges_processed = %v, want %d", stats["edges_processed"], len(edges))
-	}
-	if int(stats["snapshot_arrivals"].(float64)) != len(edges) {
-		t.Errorf("snapshot_arrivals = %v, want %d", stats["snapshot_arrivals"], len(edges))
+	if got := m["gps_core_arrivals_total"]; got != float64(len(edges)) {
+		t.Errorf("snapshot arrivals = %g, want %d", got, len(edges))
 	}
 	// Ring gauges: flush drained the data plane, so backlog and every shard
 	// depth are zero, and the shard epochs account for every routed edge.
-	if int(stats["ring_backlog"].(float64)) != 0 {
-		t.Errorf("ring_backlog = %v, want 0 after flush", stats["ring_backlog"])
+	if got := m["gps_engine_ring_backlog"]; got != 0 {
+		t.Errorf("ring backlog = %g, want 0 after flush", got)
 	}
-	if int(stats["ring_capacity"].(float64)) < 1 {
-		t.Errorf("ring_capacity = %v, want >= 1", stats["ring_capacity"])
+	if got := m["gps_engine_ring_capacity"]; got < 1 {
+		t.Errorf("ring capacity = %g, want >= 1", got)
 	}
-	if _, ok := stats["router_stalls"].(float64); !ok {
-		t.Errorf("router_stalls missing or non-numeric: %v", stats["router_stalls"])
+	if _, ok := m["gps_engine_ring_stalls_total"]; !ok {
+		t.Errorf("ring stalls missing: %v", m)
 	}
-	shards := int(stats["shards"].(float64))
-	depths, ok := stats["ring_depths"].([]any)
-	if !ok || len(depths) != shards {
-		t.Fatalf("ring_depths = %v, want %d entries", stats["ring_depths"], shards)
-	}
-	for i, d := range depths {
-		if d.(float64) != 0 {
-			t.Errorf("ring_depths[%d] = %v, want 0 after flush", i, d)
+	shards := st.Streams[0].Shards
+	var routed float64
+	for i := 0; i < shards; i++ {
+		shard := `{shard="` + strconv.Itoa(i) + `"}`
+		depth, ok := m["gps_engine_ring_depth"+shard]
+		if !ok || depth != 0 {
+			t.Errorf("ring depth%s = %g (present %v), want 0 after flush", shard, depth, ok)
 		}
+		epoch, ok := m["gps_engine_shard_epoch"+shard]
+		if !ok {
+			t.Fatalf("shard epoch%s missing", shard)
+		}
+		routed += epoch
 	}
-	epochs, ok := stats["shard_epochs"].([]any)
-	if !ok || len(epochs) != shards {
-		t.Fatalf("shard_epochs = %v, want %d entries", stats["shard_epochs"], shards)
-	}
-	var routed int
-	for _, e := range epochs {
-		routed += int(e.(float64))
-	}
-	if routed != len(edges) {
-		t.Errorf("shard_epochs sum = %d, want %d routed edges", routed, len(edges))
+	if routed != float64(len(edges)) {
+		t.Errorf("shard epochs sum = %g, want %d routed edges", routed, len(edges))
 	}
 
 	resp, err = http.Get(ts.URL + "/healthz")

@@ -270,13 +270,3 @@ func (c *snapshotCache) invalidate() {
 // scrape-time estimator telemetry: the snapshot is immutable, so reading
 // its sampler's counters is race-free.
 func (c *snapshotCache) current() *snapshot { return c.cur.Load() }
-
-// last reports when the current snapshot was taken and the stream position
-// it covers; the zero time means no snapshot has been taken yet.
-func (c *snapshotCache) last() (time.Time, uint64) {
-	s := c.cur.Load()
-	if s == nil {
-		return time.Time{}, 0
-	}
-	return s.taken, s.est.Arrivals
-}

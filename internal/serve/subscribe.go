@@ -7,9 +7,11 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,7 +53,8 @@ func (h *subHub) unsubscribe(ch chan *snapshot) {
 	delete(h.subs, ch)
 }
 
-// count reports the live subscriber count, for /v1/stats.
+// count reports the live subscriber count, for the gps_serve_subscribers
+// gauge.
 func (h *subHub) count() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -143,7 +146,25 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		}
 		return rc.Flush() == nil
 	}
+	// Installs queued before the current snapshot was read may be older
+	// than it: send them and it in install order.
+	var first []*snapshot
 	if sn := t.snaps.current(); sn != nil {
+		first = append(first, sn)
+	}
+	for queued := true; queued; {
+		select {
+		case sn := <-ch:
+			if sn == nil {
+				return // hub closed: the stream was deleted
+			}
+			first = append(first, sn)
+		default:
+			queued = false
+		}
+	}
+	slices.SortFunc(first, func(a, b *snapshot) int { return cmp.Compare(a.seq, b.seq) })
+	for _, sn := range first {
 		if !send(sn) {
 			return
 		}

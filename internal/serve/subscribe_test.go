@@ -3,8 +3,10 @@ package serve
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -47,52 +49,61 @@ func (w *hookWriter) arrivals(t *testing.T) []uint64 {
 	return out
 }
 
-// TestSubscribeSendsEachInstallOnce installs a snapshot after the
-// subscriber's channel is registered and before the handler reads the
+// TestSubscribeSendsEachInstallOnce installs one or two snapshots after
+// the subscriber's channel is registered and before the handler reads the
 // current snapshot. The handler's probe flush sits between the two, so a
-// writer whose first Flush waits for the install places it there every
-// time. That snapshot and the next one must each be sent exactly once.
+// writer whose first Flush waits for the installs places them there every
+// time. Those snapshots and the next one must each be sent exactly once,
+// in install order.
 func TestSubscribeSendsEachInstallOnce(t *testing.T) {
-	s, ts := newTestServer(t, Config{Capacity: 1000, Seed: 3})
-	next := graph.NodeID(1)
-	install := func() uint64 {
-		var batch []graph.Edge
-		for range 5 {
-			batch = append(batch, graph.NewEdge(next, next+1))
-			next += 2
-		}
-		postTo(t, ts.URL, "", batch).Body.Close()
-		flushStream(t, ts.URL, "")
-		return estimateStream(t, ts.URL, "", "?max_stale=0").Arrivals
-	}
+	for _, before := range []int{1, 2} {
+		t.Run(fmt.Sprintf("%d before", before), func(t *testing.T) {
+			s, ts := newTestServer(t, Config{Capacity: 1000, Seed: 3})
+			next := graph.NodeID(1)
+			install := func() uint64 {
+				var batch []graph.Edge
+				for range 5 {
+					batch = append(batch, graph.NewEdge(next, next+1))
+					next += 2
+				}
+				postTo(t, ts.URL, "", batch).Body.Close()
+				flushStream(t, ts.URL, "")
+				return estimateStream(t, ts.URL, "", "?max_stale=0").Arrivals
+			}
 
-	reached, installed := make(chan struct{}), make(chan struct{})
-	w := &hookWriter{header: http.Header{}, hook: func() {
-		close(reached)
-		<-installed
-	}}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		s.handleSubscribe(w, httptest.NewRequest(http.MethodGet, "/v1/subscribe", nil).WithContext(ctx))
-	}()
-	<-reached
-	want := []uint64{install()}
-	close(installed)
-	want = append(want, install())
+			reached, installed := make(chan struct{}), make(chan struct{})
+			w := &hookWriter{header: http.Header{}, hook: func() {
+				close(reached)
+				<-installed
+			}}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				s.handleSubscribe(w, httptest.NewRequest(http.MethodGet, "/v1/subscribe", nil).WithContext(ctx))
+			}()
+			<-reached
+			var want []uint64
+			for range before {
+				want = append(want, install())
+			}
+			close(installed)
+			want = append(want, install())
+			last := want[len(want)-1]
 
-	deadline := time.Now().Add(5 * time.Second)
-	for got := w.arrivals(t); len(got) == 0 || got[len(got)-1] != want[1]; got = w.arrivals(t) {
-		if time.Now().After(deadline) {
-			t.Fatalf("events %v never reached the second install (arrivals %d)", got, want[1])
-		}
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	<-done
-	if got := w.arrivals(t); len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("events carry arrivals %v, want %v: each install sent once", got, want)
+			deadline := time.Now().Add(5 * time.Second)
+			for got := w.arrivals(t); len(got) == 0 || got[len(got)-1] != last; got = w.arrivals(t) {
+				if time.Now().After(deadline) {
+					t.Fatalf("events %v never reached the last install (arrivals %d)", got, last)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			cancel()
+			<-done
+			if got := w.arrivals(t); !slices.Equal(got, want) {
+				t.Fatalf("events carry arrivals %v, want %v: each install sent once", got, want)
+			}
+		})
 	}
 }

@@ -132,20 +132,18 @@ func TestServeWindowedExact(t *testing.T) {
 	}
 
 	// Turnstile and window telemetry: deletion records counted at ingest,
-	// deletions applied by the panes, window geometry in stats and /metrics.
-	resp, err = http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
+	// deletions applied by the retired panes, window geometry in stats and
+	// /metrics.
+	st := getStats(t, ts.URL)
+	m := st.Metrics
+	if got := m["gps_serve_deletion_records_total"]; got != float64(dels) {
+		t.Fatalf("deletion records = %g, want %d", got, dels)
 	}
-	st := decodeJSON[StatsV1](t, resp)
-	if st.DeletionRecords != dels {
-		t.Fatalf("deletion_records = %d, want %d", st.DeletionRecords, dels)
+	if m["gps_core_deletions_applied_total"] == 0 {
+		t.Fatal("no deletion applied by the retired panes after turnstile ingest")
 	}
-	if st.DeletionsApplied == 0 {
-		t.Fatal("deletions_applied = 0 after turnstile ingest")
-	}
-	if st.Window != window || st.WindowPanes == nil || *st.WindowPanes < 2 || st.WindowHorizon == nil || *st.WindowHorizon != span {
-		t.Fatalf("window stats: %+v", st)
+	if st.Streams[0].Window != window || m["gps_window_panes"] < 2 || m["gps_window_horizon"] != float64(span) {
+		t.Fatalf("window stats: window %d, panes %g, horizon %g", st.Streams[0].Window, m["gps_window_panes"], m["gps_window_horizon"])
 	}
 	resp, err = http.Get(ts.URL + "/metrics")
 	if err != nil {

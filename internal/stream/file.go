@@ -74,7 +74,8 @@ func ReadEdgeListStats(r io.Reader) ([]graph.Edge, ReadStats, error) {
 			return nil, st, fmt.Errorf("stream: line %d: bad node id %q: %v", line, fields[1], err)
 		}
 		var ts uint64
-		if t, err := tsColumn(fields); err == nil {
+		// A column of 0 is no timestamp either: event time 0 means untimed.
+		if t, err := tsColumn(fields); err == nil && t != 0 {
 			ts = t
 			if sawTS && t < prevTS {
 				monotone = false

@@ -97,6 +97,7 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("a b\n")
 	f.Add("4294967295 0\n")
 	f.Add("1 2 3 4 5\n\n\n9 8\n")
+	f.Add("0 1 0000\n0 1 1000")
 	f.Fuzz(func(t *testing.T, input string) {
 		edges, err := ReadEdgeList(strings.NewReader(input))
 		if err != nil {

@@ -167,25 +167,34 @@ func TestReadEdgeListTimestamps(t *testing.T) {
 
 	// Partially-timed input: the column is dropped everywhere (a mixed
 	// TS/no-TS slice would break the v2 delta encoder and decay stamping),
-	// and extra annotation columns stay tolerated.
-	edges, st, err = ReadEdgeListStats(strings.NewReader("1 2 7\n3 4\n5 6 annotation\n8 9 12 extra junk\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.TimestampsDropped {
-		t.Fatal("partially-timed file kept its timestamps")
-	}
-	for i, e := range edges {
-		if e.TS != 0 {
-			t.Fatalf("edge %d kept TS %d after partial-column fallback", i, e.TS)
+	// and extra annotation columns stay tolerated. A column of 0 marks an
+	// untimed row.
+	for _, c := range []struct {
+		input string
+		edges int
+	}{
+		{"1 2 7\n3 4\n5 6 annotation\n8 9 12 extra junk\n", 4},
+		{"1 2 0\n3 4 9\n", 2},
+	} {
+		edges, st, err = ReadEdgeListStats(strings.NewReader(c.input))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if len(edges) != 4 {
-		t.Fatalf("got %d edges, want 4", len(edges))
-	}
-	var bin bytes.Buffer
-	if err := WriteBinary(&bin, edges); err != nil {
-		t.Fatalf("fallback stream no longer encodes: %v", err)
+		if !st.TimestampsDropped {
+			t.Fatalf("partially-timed file %q kept its timestamps", c.input)
+		}
+		for i, e := range edges {
+			if e.TS != 0 {
+				t.Fatalf("%q: edge %d kept TS %d after partial-column fallback", c.input, i, e.TS)
+			}
+		}
+		if len(edges) != c.edges {
+			t.Fatalf("%q: got %d edges, want %d", c.input, len(edges), c.edges)
+		}
+		var bin bytes.Buffer
+		if err := WriteBinary(&bin, edges); err != nil {
+			t.Fatalf("%q: fallback stream no longer encodes: %v", c.input, err)
+		}
 	}
 }
 

@@ -92,9 +92,9 @@ grep -q '"duplicate":true' "$workdir/resp.json" \
 curl -fsS -X POST "$base/v1/flush" >/dev/null
 
 stats=$(curl -fsS "$base/v1/stats")
-echo "$stats" | grep -q '"shard_restarts":1' || fail "supervisor restart not visible in /v1/stats: $stats"
-echo "$stats" | grep -q '"lost_edges":0' || fail "shard recovery lost edges: $stats"
-echo "$stats" | grep -q '"degraded":false' || fail "exact recovery left the engine degraded: $stats"
+echo "$stats" | grep -q '"gps_engine_shard_restarts_total":1[,}]' || fail "supervisor restart not visible in /v1/stats: $stats"
+echo "$stats" | grep -q '"gps_engine_shard_lost_edges_total":0[,}]' || fail "shard recovery lost edges: $stats"
+echo "$stats" | grep -q '"gps_engine_shards_degraded":0[,}]' || fail "exact recovery left the engine degraded: $stats"
 echo "$stats" | grep -q '"fault_points"' || fail "armed server does not report fault_points in /v1/stats"
 echo "OK: lost ack deduplicated; shard panic healed with zero loss"
 

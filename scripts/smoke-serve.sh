@@ -108,8 +108,8 @@ expect_http GET "http://127.0.0.1:18423/v1/estimate?max_stale=bogus" 400
 expect_http POST "http://127.0.0.1:18423/v1/estimate/subgraph" 400 \
     -H 'Content-Type: application/json' -d '{"edges":[[7,7]]}'
 # None of those may have perturbed the stream position.
-post_fail=$(curl -fsS http://127.0.0.1:18423/v1/stats | sed -E 's/.*"edges_processed":([0-9]+).*/\1/')
-[ "$post_fail" = "$edges" ] || fail "rejected requests changed edges_processed: $post_fail != $edges"
+post_fail=$(curl -fsS http://127.0.0.1:18423/v1/stats | sed -E 's/.*"gps_serve_edges_processed_total":([0-9]+).*/\1/')
+[ "$post_fail" = "$edges" ] || fail "rejected requests changed gps_serve_edges_processed_total: $post_fail != $edges"
 echo "OK: malformed requests are rejected loudly and change nothing"
 
 echo "== durability: checkpoint, crash, restore"
