@@ -14,9 +14,10 @@ import (
 // the partials are summed in chunk order.
 const (
 	// ownerChunk is the number of dense ids per chunk of the scans that
-	// walk the adjacency runs. Algorithm 2's work per owner grows with the
-	// square of its degree and the hubs sit together at low ids, so chunks
-	// stay small enough to balance.
+	// walk the adjacency runs. Algorithm 2's work per owner is one pass
+	// over its run plus, for each edge it takes up, a scan of the other
+	// endpoint's shorter run. The hubs carry most of it and sit together
+	// at low ids, so chunks stay small enough to balance.
 	ownerChunk = 64
 	// edgeChunk is the number of heap positions per chunk of the scans that
 	// walk the sampled edges one by one.

@@ -1,6 +1,11 @@
 package core
 
-import "gps/internal/graph"
+import (
+	"cmp"
+	"slices"
+
+	"gps/internal/graph"
+)
 
 // EstimatePost implements Algorithm 2 (GPSEstimate): unbiased post-stream
 // estimation of triangle and wedge counts, their variances and their
@@ -17,9 +22,15 @@ import "gps/internal/graph"
 // first owned edge that can close a triangle, the owner marks its
 // neighbours in a per-worker array indexed by dense id. Triangle search
 // then scans only v's run, the shorter one, against those marks, so it
-// costs O(Σ_k min{deg(u),deg(v)}) ⊆ O(m^{3/2}). The wedge sums read both
-// runs in full, O(Σ_k (deg(u)+deg(v))), as three independent power sums of
-// table reads, with no division in any loop.
+// costs O(Σ_k min{deg(u),deg(v)}) ⊆ O(m^{3/2}); the same scan adds the
+// wedge partners at v. The wedge partners at u come from one pass over u's
+// run before its first owned edge: in ascending order of decay, prefix
+// sums P1, P2, P3 of the partners' terms and suffix sums S1, S2 of their
+// 1/q powers, from which each owned edge k reads X1 = P1 + d_k·S1,
+// X2 = P2 + d_k²·S2 and Y = P3 + d_k²·S1 in O(1) (see wedgeSplit). Undecayed,
+// run order already is decay order and the pass is O(deg(u)), so the wedge
+// sums at owners cost O(m) in all; under decay the pass sorts the run
+// first, O(deg(u)·log deg(u)). No loop divides.
 //
 // Probabilities come from one slot-indexed table of 1/q (slotInvProbs),
 // the other endpoint's run and every neighbour's mark position from the
@@ -33,8 +44,8 @@ func EstimatePost(s *Sampler) Estimates {
 	n := s.res.adj.DenseLen()
 	parts := make([]partial, chunkCount(n, ownerChunk))
 	forChunks(n, ownerChunk, func() func(c, lo, hi int) {
-		marks := make([]int32, n)
-		return func(c, lo, hi int) { parts[c] = k.owners(lo, hi, marks) }
+		w := &postScratch{marks: make([]int32, n)}
+		return func(c, lo, hi int) { parts[c] = k.owners(lo, hi, w) }
 	})
 	return reduceEstimates(parts, s)
 }
@@ -149,18 +160,96 @@ func (k *postKernel) other(slot, id int32) int32 {
 	return e[0] ^ e[1] ^ id
 }
 
+// postScratch is one Algorithm 2 worker's scratch, reused by every owner
+// of every chunk the worker claims.
+type postScratch struct {
+	// marks has one entry per dense id, zero between owners: while an owner
+	// u is handled, marks[w] holds the slot of the edge {u,w} plus one for
+	// every neighbour w of u.
+	marks []int32
+	// split and order have one entry per position of the current owner's
+	// run; they grow to the longest run the worker meets. order is used
+	// only under decay.
+	split []wedgeSplit
+	order []int32
+}
+
+// wedgeSplit holds the power sums of the wedge partners at the owner u of
+// one edge k = {u,v} of u's run: every other edge j of u. Ordered by
+// ascending decay, ties in run order, the partners before k have
+// d_j ≤ d_k and those after it d_j ≥ d_k, so min(d_k, d_j) is d_j before k
+// and d_k after it, and x_j = min(d_k, d_j)/q_j splits into
+//
+//	X1 = P1 + d_k·S1,  X2 = P2 + d_k²·S2,  Y = P3 + d_k²·S1
+//
+// with the prefix sums P1 = Σ d_j/q_j, P2 = Σ (d_j/q_j)², P3 = Σ d_j²/q_j
+// over the partners before k and the suffix sums S1 = Σ 1/q_j,
+// S2 = Σ 1/q_j² over those after it. Each is a sum of its own terms, not a
+// run total less k's term, which would cancel badly when one partner's 1/q
+// dwarfs the rest.
+type wedgeSplit struct {
+	p1, p2, p3 float64
+	s1, s2     float64
+}
+
+// splitRun fills w.split for the owner run su, entry i for the edge at run
+// position i, and returns it. Undecayed every d is 1, so run order already
+// is decay order and nothing is sorted; under decay the run positions are
+// stably sorted by decay first. One pass writes the prefix sums forward and
+// the suffix sums backward.
+func (k *postKernel) splitRun(su []int32, w *postScratch) []wedgeSplit {
+	n := len(su)
+	if cap(w.split) < n {
+		w.split = make([]wedgeSplit, n)
+	}
+	split := w.split[:n]
+	var order []int32 // run positions by ascending decay; nil when undecayed
+	if k.decays != nil {
+		if cap(w.order) < n {
+			w.order = make([]int32, n)
+		}
+		order = w.order[:n]
+		for i := range order {
+			order[i] = int32(i)
+		}
+		slices.SortStableFunc(order, func(a, b int32) int {
+			return cmp.Compare(k.decays[su[a]], k.decays[su[b]])
+		})
+	}
+	var p1, p2, p3, s1, s2 float64
+	for i := range n {
+		f, b := i, n-1-i // the i-th oldest and the i-th newest
+		if order != nil {
+			f, b = int(order[f]), int(order[b])
+		}
+		d, inv := k.decay(su[f]), k.inv[su[f]]
+		x := d * inv
+		e := &split[f]
+		e.p1, e.p2, e.p3 = p1, p2, p3
+		p1 += x
+		p2 += x * x
+		p3 += d * x
+
+		inv = k.inv[su[b]]
+		e = &split[b]
+		e.s1, e.s2 = s1, s2
+		s1 += inv
+		s2 += inv * inv
+	}
+	return split
+}
+
 // owners runs Algorithm 2 over the edges owned by dense ids [lo, hi) and
-// returns their summed totals, in run order. marks is the worker's
-// scratch, one entry per dense id, zero on entry and on return: while an
-// owner u is handled, marks[w] holds the slot of the edge {u,w} plus one
-// for every neighbour w of u. An owner marks only when one of its edges
-// can close a triangle, that is when the other endpoint has a second
-// neighbour.
-func (k *postKernel) owners(lo, hi int, marks []int32) partial {
+// returns their summed totals, in run order. w.marks is zero on entry and
+// on return. An owner marks only when one of its edges can close a
+// triangle, that is when the other endpoint has a second neighbour, and
+// splits its run only when it owns an edge with a wedge partner at it.
+func (k *postKernel) owners(lo, hi int, w *postScratch) partial {
 	var p partial
 	for id := lo; id < hi; id++ {
 		u, nu, su := k.adj.RunAt(id)
 		marked := false
+		var split []wedgeSplit
 		for j, v := range nu {
 			slot := su[j]
 			vid := k.other(slot, int32(id))
@@ -178,17 +267,20 @@ func (k *postKernel) owners(lo, hi int, marks []int32) partial {
 				p.edges += k.decay(slot) * k.inv[slot]
 				continue
 			}
+			if split == nil {
+				split = k.splitRun(su, w)
+			}
 			if !marked && len(nv) > 1 {
 				for _, s := range su {
-					marks[k.other(s, int32(id))] = s + 1
+					w.marks[k.other(s, int32(id))] = s + 1
 				}
 				marked = true
 			}
-			k.edge(&p, slot, u, su, j, vid, nv, sv, marks)
+			k.edge(&p, slot, u, &split[j], vid, nv, sv, w.marks)
 		}
 		if marked {
 			for _, s := range su {
-				marks[k.other(s, int32(id))] = 0
+				w.marks[k.other(s, int32(id))] = 0
 			}
 		}
 		if k.visit != nil {
@@ -199,9 +291,9 @@ func (k *postKernel) owners(lo, hi int, marks []int32) partial {
 }
 
 // edge runs Algorithm 2 lines 3-30 for the sampled edge k = {u,v} stored
-// at slot, handled at its owner u, and adds the edge's totals to p. su is
-// u's slot run, with k at index j; nv and sv are v's neighbour and slot
-// runs, and vid is v's dense id.
+// at slot, handled at its owner u, and adds the edge's totals to p. ws
+// holds the split sums of k's wedge partners at u; nv and sv are v's
+// neighbour and slot runs, and vid is v's dense id.
 //
 // With invQ = 1/q(k), decay factor d_k (1 when undecayed), and for each
 // wedge partner j of k (every other edge of u and of v) the value
@@ -210,6 +302,10 @@ func (k *postKernel) owners(lo, hi int, marks []int32) partial {
 //	X1 = Σ x_j,  X2 = Σ x_j²,  Y = Σ min(d_k,d_j)·x_j
 //	N̂_k(Λ) = invQ·X1,  V̂_k(Λ) = invQ²·X2 − invQ·Y,
 //	Ĉ_k(Λ) = invQ(invQ−1)·(X1² − X2)     (= 2·invQ(invQ−1)·Σ_{i<j} x_i x_j)
+//
+// The partners at u enter as X1 = P1 + d_k·S1, X2 = P2 + d_k²·S2 and
+// Y = P3 + d_k²·S1 from ws, in O(1); the partners at v are added one by
+// one in the triangle scan, which reads v's run anyway.
 //
 // For each triangle τ = (k, k1, k2) found at k, with t_τ = 1/(q1·q2),
 // a_τ = d_τ·t_τ and d_τ = min(d_k, d_1, d_2), the decay of its oldest
@@ -226,14 +322,14 @@ func (k *postKernel) owners(lo, hi int, marks []int32) partial {
 //
 // With no decay table every d is 1, so every product by d is exact and the
 // sums equal the decayed ones at d ≡ 1 bit for bit.
-func (k *postKernel) edge(p *partial, slot int32, u graph.NodeID, su []int32, j int, vid int32,
+func (k *postKernel) edge(p *partial, slot int32, u graph.NodeID, ws *wedgeSplit, vid int32,
 	nv []graph.NodeID, sv []int32, marks []int32) {
 	inv, decays := k.inv, k.decays
 	invQ, dk := inv[slot], k.decay(slot)
 
-	// X1, X2, Y over u's other edges; undecayed, Y is X1 and is not kept.
-	x1, x2, y := k.wedgeSums(su[:j], dk, 0, 0, 0)
-	x1, x2, y = k.wedgeSums(su[j+1:], dk, x1, x2, y)
+	// X1, X2, Y over u's other edges.
+	dk2 := dk * dk
+	x1, x2, y := ws.p1+dk*ws.s1, ws.p2+dk2*ws.s2, ws.p3+dk2*ws.s1
 
 	var t edgeTotals
 	var a1, a2, dsum, sub float64 // A1, A2, D and the sub term
@@ -287,23 +383,6 @@ func (k *postKernel) edge(p *partial, slot int32, u graph.NodeID, su []int32, j 
 	t.covTW = c*(a1*x1-dsum) + sub
 	t.edges = dk * invQ
 	p.add(t)
-}
-
-// wedgeSums adds the wedge partners at the given slots to the power sums
-// X1 = Σx, X2 = Σx² and Y = Σd·x, where x = d/q and d = min(d_k, d_j);
-// undecayed, Y is left alone.
-func (k *postKernel) wedgeSums(slots []int32, dk, x1, x2, y float64) (float64, float64, float64) {
-	for _, s := range slots {
-		x := k.inv[s]
-		if k.decays != nil {
-			d := minDecay(dk, k.decays[s])
-			x *= d
-			y += d * x
-		}
-		x1 += x
-		x2 += x * x
-	}
-	return x1, x2, y
 }
 
 // decay returns d(k) of the edge at slot: 1 when undecayed.

@@ -10,6 +10,7 @@ import (
 
 	"gps/internal/gen"
 	"gps/internal/graph"
+	"gps/internal/order"
 	"gps/internal/randx"
 	"gps/internal/stream"
 )
@@ -130,7 +131,7 @@ func ownerVisits(t *testing.T, s *Sampler) [][]int {
 	t.Helper()
 	k := s.newPostKernel()
 	n := s.res.adj.DenseLen()
-	marks := make([]int32, n)
+	w := &postScratch{marks: make([]int32, n)}
 	visits := make([][]int, s.res.heap.ArenaLen())
 	owner, cleared := 0, 0
 	k.visit = func(slot int32) {
@@ -141,9 +142,9 @@ func ownerVisits(t *testing.T, s *Sampler) [][]int {
 		visits[slot] = append(visits[slot], owner)
 	}
 	for owner = range n {
-		k.owners(owner, owner+1, marks)
-		if i := slices.IndexFunc(marks, func(m int32) bool { return m != 0 }); i >= 0 {
-			t.Fatalf("owner %d left mark %d at dense id %d", owner, marks[i], i)
+		k.owners(owner, owner+1, w)
+		if i := slices.IndexFunc(w.marks, func(m int32) bool { return m != 0 }); i >= 0 {
+			t.Fatalf("owner %d left mark %d at dense id %d", owner, w.marks[i], i)
 		}
 	}
 	if cleared != n {
@@ -270,39 +271,110 @@ func TestOwnerRuleVisitsEachEdgeOnce(t *testing.T) {
 }
 
 // TestPostKernelMatchesPerEdgeReference compares every Estimates field of
-// EstimatePost with the per-edge reference on every reference family. The
-// two group their floating-point sums differently (power sums against
-// running sums, products of 1/q against quotients), so they agree to a
-// relative tolerance, stated here: 1e-12.
+// EstimatePost with the per-edge reference on every reference family.
 func TestPostKernelMatchesPerEdgeReference(t *testing.T) {
-	const tol = 1e-12
 	for _, tt := range estimatorFamilies(t) {
-		got, want := EstimatePost(tt.s), estimatePostPerEdge(tt.s)
-		for _, f := range []struct {
-			name   string
-			gv, wv float64
-		}{
-			{"Triangles", got.Triangles, want.Triangles},
-			{"Wedges", got.Wedges, want.Wedges},
-			{"VarTriangles", got.VarTriangles, want.VarTriangles},
-			{"VarWedges", got.VarWedges, want.VarWedges},
-			{"CovTriangleWedge", got.CovTriangleWedge, want.CovTriangleWedge},
-			{"DecayedEdges", got.DecayedEdges, want.DecayedEdges},
-		} {
-			if d := math.Abs(f.gv - f.wv); d > tol*math.Max(math.Abs(f.gv), math.Abs(f.wv)) {
-				t.Errorf("%s: %s = %v, per-edge reference %v (relative difference %.3g)",
-					tt.name, f.name, f.gv, f.wv, d/math.Abs(f.wv))
-			}
-		}
-		got.Triangles, got.Wedges, got.VarTriangles, got.VarWedges = 0, 0, 0, 0
-		got.CovTriangleWedge, got.DecayedEdges = 0, 0
-		want.Triangles, want.Wedges, want.VarTriangles, want.VarWedges = 0, 0, 0, 0
-		want.CovTriangleWedge, want.DecayedEdges = 0, 0
-		if got != want {
-			t.Errorf("%s: exact fields differ:\n kernel:    %+v\n reference: %+v", tt.name, got, want)
-		}
+		got := requirePerEdgeMatch(t, tt.name, tt.s)
 		if tt.name == "decayed" && !got.Decayed {
 			t.Errorf("%s: estimate not flagged decayed", tt.name)
+		}
+	}
+}
+
+// requirePerEdgeMatch compares every Estimates field of EstimatePost on s
+// with the per-edge reference and returns the kernel's estimates. The two
+// group their floating-point sums differently (power sums split at each
+// edge against running sums, products of 1/q against quotients), so the
+// estimates agree to a relative tolerance, stated here: 1e-12. The other
+// fields must be equal.
+func requirePerEdgeMatch(t *testing.T, name string, s *Sampler) Estimates {
+	t.Helper()
+	const tol = 1e-12
+	got, want := EstimatePost(s), estimatePostPerEdge(s)
+	for _, f := range []struct {
+		name   string
+		gv, wv float64
+	}{
+		{"Triangles", got.Triangles, want.Triangles},
+		{"Wedges", got.Wedges, want.Wedges},
+		{"VarTriangles", got.VarTriangles, want.VarTriangles},
+		{"VarWedges", got.VarWedges, want.VarWedges},
+		{"CovTriangleWedge", got.CovTriangleWedge, want.CovTriangleWedge},
+		{"DecayedEdges", got.DecayedEdges, want.DecayedEdges},
+	} {
+		if d := math.Abs(f.gv - f.wv); d > tol*math.Max(math.Abs(f.gv), math.Abs(f.wv)) {
+			t.Errorf("%s: %s = %v, per-edge reference %v (relative difference %.3g)",
+				name, f.name, f.gv, f.wv, d/math.Abs(f.wv))
+		}
+	}
+	exact, ref := got, want
+	exact.Triangles, exact.Wedges, exact.VarTriangles, exact.VarWedges = 0, 0, 0, 0
+	exact.CovTriangleWedge, exact.DecayedEdges = 0, 0
+	ref.Triangles, ref.Wedges, ref.VarTriangles, ref.VarWedges = 0, 0, 0, 0
+	ref.CovTriangleWedge, ref.DecayedEdges = 0, 0
+	if exact != ref {
+		t.Errorf("%s: exact fields differ:\n kernel:    %+v\n reference: %+v", name, exact, ref)
+	}
+	return got
+}
+
+// handSample builds a sampler holding exactly the given edges, bypassing
+// admission: each edge keeps its event time and the weight weight(e), and
+// the threshold is z, so q = min{1, weight(e)/z}. A halfLife of 0 leaves
+// the sample undecayed; otherwise its horizon is the latest event time.
+func handSample(t *testing.T, edges []graph.Edge, weight func(graph.Edge) float64, z, halfLife float64) *Sampler {
+	t.Helper()
+	s, err := NewSampler(Config{Capacity: len(edges), Decay: Decay{HalfLife: halfLife}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range edges {
+		w := weight(e)
+		s.res.insert(order.Entry{Edge: e, Weight: w, Priority: z + w})
+		if s.Decayed() {
+			s.lastTS = max(s.lastTS, e.TS)
+		}
+	}
+	s.zstar = z
+	return s
+}
+
+// TestPostKernelSplitSums checks the split wedge sums on hand-built
+// samples, undecayed and decayed, against the per-edge reference and the
+// lookup twin. The hub 0 takes up both the oldest edge of its run, {0,4},
+// and the newest, {0,6}; its run is out of event-time order, with three
+// pairs of tied times. 12 owns two edges at one event time, and 11, 12, 21
+// and the leaves 6 and 8 own runs of length 2. The heavy weight gives the
+// hub edge {0,1} a 1/q about 1e9 times its partners', where a sum taken as
+// a run total less the edge's own term would lose about nine digits.
+func TestPostKernelSplitSums(t *testing.T) {
+	at := func(u, v graph.NodeID, ts uint64) graph.Edge { return graph.NewEdge(u, v).At(ts) }
+	edges := []graph.Edge{
+		// The hub and the five triangles its leaves close.
+		at(0, 1, 30), at(0, 2, 10), at(0, 3, 10), at(0, 4, 1), at(0, 5, 20),
+		at(0, 6, 40), at(0, 7, 30), at(0, 8, 20),
+		at(1, 2, 15), at(2, 3, 10), at(3, 4, 35), at(5, 6, 5), at(7, 8, 40),
+		// A triangle at one event time, and a path.
+		at(10, 11, 25), at(10, 12, 25), at(11, 12, 25),
+		at(20, 21, 2), at(21, 22, 38),
+	}
+	mild := func(e graph.Edge) float64 { return 0.5 + float64(e.U+e.V)/40 } // q from 0.5 to 1
+	hub := graph.NewEdge(0, 1).Key()
+	heavy := func(e graph.Edge) float64 {
+		if e.Key() == hub {
+			return 1e-9
+		}
+		return mild(e)
+	}
+	for _, w := range []struct {
+		name string
+		fn   func(graph.Edge) float64
+	}{{"mild", mild}, {"heavy", heavy}} {
+		for _, halfLife := range []float64{0, 10} {
+			name := fmt.Sprintf("%s/half-life %g", w.name, halfLife)
+			s := handSample(t, edges, w.fn, 1, halfLife)
+			requirePerEdgeMatch(t, name, s)
+			requireOwnerRule(t, name, s)
 		}
 	}
 }
@@ -313,10 +385,12 @@ var postBench struct {
 	samples []estimatorFamily
 }
 
-// postBenchSamples builds three samples shaped like the repo benchmark's
+// postBenchSamples builds samples shaped like the repo benchmark's
 // workloads, smaller so they build in about a second:
 //   - replay: triangle weight over a permuted R-MAT stream, dense, with
 //     hubs of a few hundred sampled neighbours;
+//   - decayed: replay's stream timed by position, with a half-life of a
+//     quarter of it, so each owner's run is sorted by decay;
 //   - live: triangle weight, two hash shards merged to m = 5000, sparse;
 //   - ingest: uniform weight over disjoint copies of an R-MAT graph, with
 //     about as many nodes as edges.
@@ -333,8 +407,15 @@ func postBenchSamples(b *testing.B) []estimatorFamily {
 			return stream.Collect(stream.Permute(gen.RMAT(scale, 16, 0.57, 0.19, 0.19, seed), seed))
 		}
 
+		edges := rmat(14, 3)
 		replay := sampler(Config{Capacity: 20_000, Weight: TriangleWeight, Seed: 3})
-		replay.ProcessBatch(rmat(14, 3))
+		replay.ProcessBatch(edges)
+
+		decayed := sampler(Config{Capacity: 20_000, Weight: TriangleWeight, Seed: 3,
+			Decay: Decay{HalfLife: float64(len(edges)) / 4}})
+		for i, e := range edges {
+			decayed.Process(e.At(uint64(i + 1)))
+		}
 
 		cfg := Config{Capacity: 5000, Weight: TriangleWeight}
 		shards := []*Sampler{sampler(Config{Capacity: 5000, Weight: TriangleWeight, Seed: 7}),
@@ -354,7 +435,7 @@ func postBenchSamples(b *testing.B) []estimatorFamily {
 				ingest.Process(graph.NewEdge(e.U+c<<12, e.V+c<<12))
 			}
 		}
-		postBench.samples = []estimatorFamily{{"replay", replay}, {"live", live}, {"ingest", ingest}}
+		postBench.samples = []estimatorFamily{{"replay", replay}, {"decayed", decayed}, {"live", live}, {"ingest", ingest}}
 	})
 	return postBench.samples
 }

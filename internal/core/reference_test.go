@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"gps/internal/graph"
@@ -69,38 +71,52 @@ func (s *Sampler) mustLookup(a, b graph.NodeID) (inv, d float64) {
 }
 
 // edgeLookup is postKernel.edge for the edge {u,v} owned by u, resolved
-// through the key tables: wedge partners in u's then v's neighbour order,
-// triangles in v's.
+// through the key tables: u's run stably sorted by decay and split at
+// {u,v} into prefix and suffix sums (splitRun), then the wedge partners and
+// triangles in v's neighbour order.
 func (s *Sampler) edgeLookup(u, v graph.NodeID) edgeTotals {
 	invQ, dk := s.mustLookup(u, v)
-	var x1, x2, y float64
-	wedge := func(a, b graph.NodeID) float64 {
-		i, d := s.mustLookup(a, b)
-		d = minDecay(dk, d)
-		x := d * i
-		x1 += x
-		x2 += x * x
-		y += d * x
-		return x
+	type term struct {
+		w      graph.NodeID
+		inv, d float64
 	}
+	var run []term
 	s.res.Neighbors(u, func(w graph.NodeID) bool {
-		if w != v {
-			wedge(u, w)
-		}
+		inv, d := s.mustLookup(u, w)
+		run = append(run, term{w, inv, d})
 		return true
 	})
+	slices.SortStableFunc(run, func(a, b term) int { return cmp.Compare(a.d, b.d) })
+	r := slices.IndexFunc(run, func(t term) bool { return t.w == v })
+	var p1, p2, p3, s1, s2 float64
+	for _, t := range run[:r] {
+		x := t.d * t.inv
+		p1 += x
+		p2 += x * x
+		p3 += t.d * x
+	}
+	for i := len(run) - 1; i > r; i-- {
+		s1 += run[i].inv
+		s2 += run[i].inv * run[i].inv
+	}
+	dk2 := dk * dk
+	x1, x2, y := p1+dk*s1, p2+dk2*s2, p3+dk2*s1
 	var t edgeTotals
 	var a1, a2, dsum, sub float64
 	s.res.Neighbors(v, func(w graph.NodeID) bool {
 		if w == u {
 			return true
 		}
-		x := wedge(v, w)
+		i2, d2 := s.mustLookup(v, w)
+		d := minDecay(dk, d2)
+		x := d * i2
+		x1 += x
+		x2 += x * x
+		y += d * x
 		i1, d1, ok := s.lookupEdge(u, w)
 		if !ok {
 			return true
 		}
-		i2, d2 := s.mustLookup(v, w)
 		x1w := minDecay(dk, d1) * i1
 		dOpp := minDecay(d1, d2)
 		dTri := minDecay(dk, dOpp)

@@ -205,6 +205,11 @@ func (s *Sampler) processWeighted(e graph.Edge, w float64) bool {
 // bit-identical function of the stream order, and the surviving edges keep
 // their original inclusion probabilities q(k) = min{1, w(k)/z*}: z* reflects
 // evictions the sampler actually performed, which deletion does not revisit.
+// A later arrival takes the freed place whatever its priority, yet is
+// weighted by the same q = min{1, w/z*} as if it had beaten z*. The next
+// eviction thresholds such fillers again, so steady interleaved traffic
+// shows no bias, but after a burst of deletions Σ 1/q overcounts until the
+// low fillers have been evicted.
 // Reports whether a resident edge was removed.
 func (s *Sampler) deleteEdge(e graph.Edge) bool {
 	if _, ok := s.res.remove(e.Insert()); ok {

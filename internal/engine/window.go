@@ -80,6 +80,9 @@ type windowPane struct {
 	// query rebuilds the run once that count has moved.
 	run        *core.Run
 	runApplied uint64
+	// degraded records that the pane's engine had lost edges to a lossy
+	// shard recovery when it retired. It is not checkpointed.
+	degraded bool
 }
 
 // windowMetrics times each window query's stages. They record
@@ -237,8 +240,9 @@ func (w *Windowed) rotateTo(idx uint64) error {
 	if err != nil {
 		return fmt.Errorf("engine: pane %d rotation: %w", w.activeIdx, err)
 	}
+	degraded := w.active.Degraded()
 	w.active.Close()
-	w.retired = append(w.retired, windowPane{idx: w.activeIdx, s: frozen})
+	w.retired = append(w.retired, windowPane{idx: w.activeIdx, s: frozen, degraded: degraded})
 	w.activeIdx = idx
 	w.prune()
 	active, err := w.openPane(idx)
@@ -282,6 +286,10 @@ type WindowEstimates struct {
 	Panes int
 	// Threshold is the merged sample's priority threshold z*.
 	Threshold float64
+	// Degraded reports that a pane the query merged, the live one
+	// included, lost edges to a lossy shard recovery: the answer is
+	// best-effort.
+	Degraded bool
 }
 
 // Query estimates triangle and wedge counts over the trailing window of
@@ -329,12 +337,14 @@ func (w *Windowed) mergeWindow(win uint64) (*core.Sampler, WindowEstimates, erro
 		cut = w.horizon - win
 	}
 	var panes, stale []*windowPane
+	degraded := w.active.Degraded()
 	for i := range w.retired {
 		p := &w.retired[i]
 		if (p.idx+1)*w.cfg.PaneWidth <= cut {
 			continue // pane entirely out of window
 		}
 		panes = append(panes, p)
+		degraded = degraded || p.degraded
 		if applied, _ := p.s.Deletions(); p.run == nil || applied != p.runApplied {
 			stale = append(stale, p)
 		}
@@ -373,6 +383,7 @@ func (w *Windowed) mergeWindow(win uint64) (*core.Sampler, WindowEstimates, erro
 		Horizon:   w.horizon,
 		Panes:     len(runs),
 		Threshold: merged.Threshold(),
+		Degraded:  degraded,
 	}, nil
 }
 

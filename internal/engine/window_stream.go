@@ -32,6 +32,23 @@ func (w *Windowed) WindowSpec() (WindowConfig, bool) { return w.Config(), true }
 // DecayLandmark reports no landmark (windowed engines never decay).
 func (w *Windowed) DecayLandmark() (uint64, bool) { return 0, false }
 
+// Degraded reports whether the live pane or any retained pane lost edges
+// to a lossy shard recovery. A pane's flag leaves with the pane when it is
+// pruned.
+func (w *Windowed) Degraded() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.active.Degraded() {
+		return true
+	}
+	for _, p := range w.retired {
+		if p.degraded {
+			return true
+		}
+	}
+	return false
+}
+
 // The telemetry readers below delegate to the live pane. Rotation replaces
 // it, so every call re-fetches through Engine() for one point-in-time read —
 // the same discipline serve's scrapes always followed.
@@ -41,9 +58,6 @@ func (w *Windowed) RingStats() RingStats { return w.Engine().RingStats() }
 
 // Health reads the live pane's per-shard supervisor health.
 func (w *Windowed) Health() ([]ShardHealth, bool) { return w.Engine().Health() }
-
-// Degraded reads the live pane's sticky degradation flag.
-func (w *Windowed) Degraded() bool { return w.Engine().Degraded() }
 
 // RegisterMetrics attaches the gps_window_* families: pane rotation
 // replaces the live Parallel, so per-instance engine instruments would go

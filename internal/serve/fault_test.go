@@ -443,6 +443,69 @@ func TestServeDegradedFromEngine(t *testing.T) {
 	}
 }
 
+// TestServeWindowDegradedFromEngine: on a windowed stream, a lossy shard
+// recovery in a pane flags every window answer that merges that pane
+// degraded, the live pane before its rotation and the retired one after it,
+// and no answer that leaves it out: a ?window= that starts after it, or
+// any query once the pane is pruned. The engine reports itself degraded
+// while it retains the pane.
+func TestServeWindowDegradedFromEngine(t *testing.T) {
+	edges := gen.ErdosRenyi(60, 500, 13)
+	for i := range edges {
+		edges[i] = edges[i].At(uint64(i + 1))
+	}
+	srv, ts := newTestServer(t, Config{Capacity: 1000, Seed: 8, Shards: 1, Window: 2000, PaneWidth: 1000})
+	degradedQueries := func() float64 { return getStats(t, ts.URL).Metrics["gps_serve_degraded_queries_total"] }
+	post := func(batch ...graph.Edge) {
+		t.Helper()
+		resp := postEdges(t, ts.URL, batch, false)
+		resp.Body.Close()
+		flush(t, ts.URL)
+	}
+	check := func(step, query string, want bool) {
+		t.Helper()
+		before := degradedQueries()
+		if got := getEstimate(t, ts.URL, query).Degraded; got != want {
+			t.Fatalf("%s: estimate%s degraded = %v, want %v", step, query, got, want)
+		}
+		wantCounted := 0.0
+		if want {
+			wantCounted = 1
+		}
+		if counted := degradedQueries() - before; counted != wantCounted {
+			t.Fatalf("%s: degraded query counter moved by %g, want %g", step, counted, wantCounted)
+		}
+	}
+	engineDegraded := func(step string, want bool) {
+		t.Helper()
+		if got := srv.def.eng.Degraded(); got != want {
+			t.Fatalf("%s: engine Degraded() = %v, want %v", step, got, want)
+		}
+	}
+
+	// Pane 0 holds every edge at TS 1..500. A first batch drains cleanly so
+	// the scratch rebuild has something to lose; no query runs before the
+	// fault, since its snapshot would leave a clone to restore from.
+	post(edges[:250]...)
+	armServeFaults(t, 7, "engine.shard.drain:panic:times=1")
+	post(edges[250:]...)
+	fault.Disarm()
+	check("live pane", "", true)
+	engineDegraded("live pane", true)
+
+	// TS 1500 rotates pane 0 out of the live engine: the window still
+	// merges it, a 400-wide window (cut 1100) does not.
+	post(graph.NewEdge(1000, 1001).At(1500))
+	check("retired pane", "", true)
+	check("retired pane", "?window=400", false)
+	engineDegraded("retired pane", true)
+
+	// TS 3000 moves the window past pane 0, which is pruned.
+	post(graph.NewEdge(1000, 1002).At(3000))
+	check("pruned pane", "", false)
+	engineDegraded("pruned pane", false)
+}
+
 // TestServeCheckpointFaultClasses: an injected persistence failure answers
 // 503 + Retry-After (never 500), leaves no torn checkpoint file behind,
 // and the previous checkpoint stays restorable.

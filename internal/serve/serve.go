@@ -1267,6 +1267,9 @@ func (s *Server) handleWindowEstimate(w http.ResponseWriter, r *http.Request, t 
 		httpError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
+	if est.Degraded {
+		t.degradedQueries.Add(1)
+	}
 	t.met.snapAge.Observe(uint64(time.Since(taken)))
 	tri, wed, cc := est.TriangleInterval(), est.WedgeInterval(), est.ClusteringInterval()
 	writeJSON(w, http.StatusOK, estimateResponse{
@@ -1285,6 +1288,7 @@ func (s *Server) handleWindowEstimate(w http.ResponseWriter, r *http.Request, t 
 		WindowHorizon:  est.Horizon,
 		WindowEdges:    est.Edges,
 		WindowPanes:    est.Panes,
+		Degraded:       est.Degraded,
 	})
 }
 
