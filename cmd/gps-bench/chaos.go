@@ -20,7 +20,6 @@ import (
 	"strings"
 	"time"
 
-	"gps"
 	"gps/internal/client"
 	"gps/internal/fault"
 	"gps/internal/gen"
@@ -53,7 +52,6 @@ func chaosBench(edges, sample, shards int, seed uint64) (string, error) {
 	cfg := func() serve.Config {
 		return serve.Config{
 			Capacity:     sample,
-			Weight:       gps.TriangleWeight,
 			WeightName:   "triangle",
 			Seed:         seed,
 			Shards:       shards,

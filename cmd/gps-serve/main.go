@@ -200,12 +200,9 @@ func run(args []string, errw io.Writer, ready chan<- string, stop <-chan struct{
 		fmt.Fprintf(errw, "gps-serve: FAULT INJECTION ARMED (%d rules, seed %d) — chaos drill, not a production server\n",
 			len(rules), *faultSeed)
 	}
-	weight, err := serve.WeightByName(*weightName)
-	if err != nil {
-		return err
-	}
 	var streams []serve.StreamSpec
 	if *streamsFile != "" {
+		var err error
 		streams, err = loadStreamManifest(*streamsFile)
 		if err != nil {
 			return fmt.Errorf("-streams: %w", err)
@@ -213,7 +210,6 @@ func run(args []string, errw io.Writer, ready chan<- string, stop <-chan struct{
 	}
 	s, err := serve.NewServer(serve.Config{
 		Capacity:           *m,
-		Weight:             weight,
 		WeightName:         *weightName,
 		Seed:               *seed,
 		Shards:             *shards,

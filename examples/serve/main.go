@@ -17,7 +17,6 @@ import (
 	"net/http/httptest"
 	"time"
 
-	"gps/internal/core"
 	"gps/internal/exact"
 	"gps/internal/gen"
 	"gps/internal/graph"
@@ -31,7 +30,6 @@ func main() {
 
 	srv, err := serve.NewServer(serve.Config{
 		Capacity:     sample,
-		Weight:       core.TriangleWeight,
 		WeightName:   "triangle",
 		Seed:         3,
 		Shards:       4,

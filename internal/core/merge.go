@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 
 	"gps/internal/graph"
-	"gps/internal/obs"
 )
 
 // Merge combines the reservoirs of samplers that each processed a disjoint
@@ -75,9 +74,7 @@ func MergeRuns(runs []*Run, cfg Config, cut uint64) (*Sampler, error) {
 	// competition exactly as if it had been evicted — and counts as an
 	// eviction, keeping accepts-evicts equal to the fill.
 	exclude := func(priority float64, n int) {
-		if obs.Enabled {
-			m.evicts += uint64(n)
-		}
+		m.evicts += uint64(n)
 		if priority > m.zstar {
 			m.zstar = priority
 		}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"gps/internal/graph"
-	"gps/internal/obs"
 	"gps/internal/order"
 	"gps/internal/randx"
 )
@@ -43,9 +42,7 @@ func mergeReference(samplers []*Sampler, cfg Config) (*Sampler, error) {
 			m.res.insert(ent)
 			continue
 		}
-		if obs.Enabled {
-			m.evicts++
-		}
+		m.evicts++
 		if ent.Priority > m.zstar {
 			m.zstar = ent.Priority
 		}

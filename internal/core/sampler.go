@@ -7,7 +7,6 @@ import (
 	"reflect"
 
 	"gps/internal/graph"
-	"gps/internal/obs"
 	"gps/internal/order"
 	"gps/internal/randx"
 )
@@ -71,9 +70,9 @@ type Sampler struct {
 	// reservoir and previously-resident edges evicted by later arrivals, so
 	// res.Len() == accepts - evicts at all times. They are plain fields (not
 	// atomics) so Clone's struct copy stays legal; readers only see them via
-	// immutable clones or behind the engine's admission barrier. Maintained
-	// only when obs.Enabled (zero under the gps_noobs build tag) and never
-	// serialized in checkpoints — a restored sampler restarts them at zero.
+	// immutable clones or behind the engine's admission barrier. They are
+	// never serialized in checkpoints — a restored sampler restarts them at
+	// zero.
 	accepts uint64
 	evicts  uint64
 
@@ -187,13 +186,9 @@ func (s *Sampler) processWeighted(e graph.Edge, w float64) bool {
 		if min.Edge == e {
 			return false
 		}
-		if obs.Enabled {
-			s.evicts++
-		}
+		s.evicts++
 	}
-	if obs.Enabled {
-		s.accepts++
-	}
+	s.accepts++
 	return true
 }
 
@@ -291,8 +286,7 @@ func (s *Sampler) Arrivals() uint64 { return s.arrivals }
 func (s *Sampler) Duplicates() uint64 { return s.duplicates }
 
 // Accepts returns the number of arrivals admitted to the reservoir.
-// Process-local telemetry: zero under the gps_noobs build tag and not
-// carried through checkpoints.
+// Process-local telemetry, not carried through checkpoints.
 func (s *Sampler) Accepts() uint64 { return s.accepts }
 
 // Evicts returns the number of previously-resident edges evicted by later

@@ -4,14 +4,12 @@ import (
 	"testing"
 
 	"gps/internal/graph"
-	"gps/internal/obs"
 )
 
 // TestAcceptEvictInvariant checks the estimator self-telemetry invariant
 // the serve layer's fill gauge relies on: accepts - evicts equals the
 // reservoir fill at every point in the stream, and the counters survive
-// Clone and Merge. Under gps_noobs the counters are compiled out and must
-// stay zero.
+// Clone and Merge.
 func TestAcceptEvictInvariant(t *testing.T) {
 	s, err := NewSampler(Config{Capacity: 16, Seed: 7})
 	if err != nil {
@@ -19,19 +17,10 @@ func TestAcceptEvictInvariant(t *testing.T) {
 	}
 	for i := uint64(0); i < 1000; i++ {
 		s.Process(graph.Edge{U: graph.NodeID(i), V: graph.NodeID(i + 1)})
-		if !obs.Enabled {
-			continue
-		}
 		if fill := s.Accepts() - s.Evicts(); fill != uint64(s.Reservoir().Len()) {
 			t.Fatalf("after %d arrivals: accepts %d - evicts %d = %d, reservoir holds %d",
 				i+1, s.Accepts(), s.Evicts(), fill, s.Reservoir().Len())
 		}
-	}
-	if !obs.Enabled {
-		if s.Accepts() != 0 || s.Evicts() != 0 {
-			t.Fatalf("gps_noobs build must not maintain accepts/evicts, got %d/%d", s.Accepts(), s.Evicts())
-		}
-		return
 	}
 	if s.Accepts() <= uint64(s.Capacity()) {
 		t.Fatalf("accepts = %d over a 1000-edge stream, want more than capacity %d", s.Accepts(), s.Capacity())

@@ -16,43 +16,40 @@
 //
 // # The ingest data plane
 //
-// Producers never take an engine-wide mutex per batch. ProcessBatch groups
-// its batch by shard in one counting-sort pass (order-preserving within the
-// batch), then appends each shard's contiguous run to that shard's ring;
-// the shard goroutines drain contiguous spans straight out of the ring
-// memory and feed them to core.Sampler.ProcessBatch. The only shared state
-// a producer touches is a read lock (admit.RLock, taken for the duration of
-// the batch so queries still observe batches atomically) and the ring of
-// each shard the batch actually hits. Concurrent producers therefore scale
-// with cores: the sampling itself runs P-wide in the shard goroutines, and
-// the routing runs producer-wide with per-shard serialization only at the
-// ring append.
+// Batches enter one at a time. Process and ProcessBatch hold the admission
+// lock (admit) for the whole batch; ProcessBatch groups the batch by shard
+// in one counting-sort pass (order-preserving within the batch), stamps
+// event times on the way when the engine decays, and appends each shard's
+// contiguous run to that shard's ring. The shard goroutines drain
+// contiguous spans straight out of the ring memory and feed them to
+// core.Sampler.ProcessBatch, so the sampling runs P-wide while admission is
+// one short serial pass: hashing and copying, no sampling work.
 //
 // The engine-wide barrier (Merge, Snapshot, WriteCheckpoint, Arrivals,
-// Close) takes the admission write lock — excluding producers — and waits
-// for every ring to drain, after which the shard samplers are quiescent.
-// This is the only remaining global synchronization, and it is paid per
-// query, not per batch.
+// Close) takes the same lock — excluding producers between batches — and
+// waits for every ring to drain, after which the shard samplers are
+// quiescent. This is the only global synchronization besides admission,
+// and it is paid per query, not per batch.
 //
 // # Determinism
 //
-// Every run driven by one producer is a deterministic function of (seed,
-// stream content, shard count): grouping preserves within-batch order,
-// sequential batches append in call order, and order within a shard
-// follows stream order regardless of ring capacity, batch sizes or
+// Every shard receives the accepted batches whole and in one common order:
+// the order in which producers acquired the admission lock. A run is
+// therefore a deterministic function of (seed, accepted batch order, shard
+// count). Grouping preserves within-batch order, and order within a shard
+// follows the accepted order regardless of ring capacity, batch sizes or
 // consumer scheduling — batch shard-grouping is bit-identical to per-edge
-// routing (tested). With concurrent producers each shard still processes a
-// serialization of the producers' runs (appends to one ring are totally
-// ordered), so producers that touch disjoint shard sets — e.g. upstream
-// partitioned traffic — remain fully deterministic; producers racing to
-// the same shard interleave at run granularity, exactly as their requests
-// would have interleaved at the old router mutex.
+// routing (tested). With one producer the accepted order is the call
+// order. Concurrent producers only decide where their batches fall in it:
+// producers whose edges route to disjoint shard sets (e.g. upstream
+// partitioned traffic) get the same result under any interleaving — under
+// decay, once their edges carry event times and the landmark is configured
+// — and producers sharing shards get the result of feeding their batches
+// serially in the accepted order.
 //
-// Forward decay is the exception: stamping arrival-order event times and
-// pinning the landmark are inherently serial, so decayed admission runs
-// under a dedicated small mutex (clock + stamp + group + append). Decayed
-// ingest still scales: the serial section is the routing arithmetic, while
-// the sampling — boost, heap, topology — runs P-wide in the shards.
+// Forward decay follows the same path: the engine-wide event clock stamped
+// onto untimed edges and the landmark pinned by the first edge advance in
+// the accepted order, under the admission lock.
 //
 // # Shard capacity and exactness
 //
@@ -84,9 +81,9 @@
 //
 // # Queries under ingestion
 //
-// Parallel is safe for concurrent use: producers share the admission read
-// lock, and Merge/Snapshot/WriteCheckpoint take the write side only for
-// the barrier (plus, for Snapshot, the dirty-shard clone). Merge holds it
+// Parallel is safe for concurrent use: producers and queries share the
+// admission lock, and Merge/Snapshot/WriteCheckpoint hold it only for the
+// barrier (plus, for Snapshot, the dirty-shard clone). Merge holds it
 // for the whole merge (ingestion stops while the merged sampler is built);
 // Snapshot releases it right after the clone — O(m) memory copies,
 // parallelized across shards — and performs the merge on the clones after
@@ -138,16 +135,17 @@ const DefaultBatch = 4096
 const DefaultRingCapacity = 1 << 15
 
 // Parallel is a sharded GPS sampler. Feed it with Process/ProcessBatch
-// (from any number of goroutines), call Merge or Snapshot (any number of
-// times, from any goroutine) for a sequential Sampler positioned over
-// everything fed so far, and Close when done. Per-edge Process pays one
-// shard-ring append per call, so high-rate producers should feed batches.
+// (from any number of goroutines; batches enter one at a time), call Merge
+// or Snapshot (any number of times, from any goroutine) for a sequential
+// Sampler positioned over everything fed so far, and Close when done.
+// Per-edge Process pays one admission and one shard-ring append per call,
+// so high-rate producers should feed batches.
 type Parallel struct {
-	// admit is the producer/barrier lock: Process and ProcessBatch hold the
-	// read side for the duration of a batch (keeping batches atomic with
-	// respect to queries), while Merge/Snapshot/WriteCheckpoint/Close hold
-	// the write side across the ring-drain barrier.
-	admit  sync.RWMutex
+	// admit is the one admission lock: Process and ProcessBatch hold it for
+	// a whole batch, so batches enter in one order and atomically with
+	// respect to queries, and Merge/Snapshot/WriteCheckpoint/Arrivals/Close
+	// hold it across the ring-drain barrier.
+	admit  sync.Mutex
 	closed atomic.Bool
 
 	// mu guards the snapshot/checkpoint bookkeeping: clone caches and
@@ -158,8 +156,12 @@ type Parallel struct {
 	cfg       core.Config
 	mergeSeed uint64
 	shards    []*shard
-	groups    sync.Pool // *groupScratch: batch shard-grouping buffers
 	wg        sync.WaitGroup
+
+	// group is the shard-grouping scratch of admission, guarded by admit.
+	// ProcessBatch groups at most DefaultRingCapacity edges per pass, which
+	// bounds what it keeps however large a batch is.
+	group groupScratch
 
 	// Snapshot telemetry; counters guarded by mu, stall read lock-free.
 	snapshots    uint64
@@ -180,22 +182,19 @@ type Parallel struct {
 	lastMerged       *core.Sampler
 	lastMergedEpochs []uint64
 
-	// Forward-decay admission state, guarded by decayMu (which nests inside
-	// admit.RLock): stamping arrival-order event times and pinning the
-	// landmark are serial by nature — priorities are only comparable across
-	// shards when every shard boosts against the same landmark, so the
-	// first routed edge pins the landmark on every shard at once (they are
-	// still quiescent: nothing has been appended to any ring). clock is the
-	// engine-wide event-time counter stamped onto untimed edges (edge TS 0)
-	// so that arrival-order decay is coherent across shards — per-shard
-	// positions would advance at ~1/P the global rate. Decayed admission —
-	// stamp, group, append — runs entirely under decayMu so that the
-	// per-shard run order agrees with the clock order.
-	decayMu     sync.Mutex
+	// Forward-decay admission state, guarded by admit. Priorities are only
+	// comparable across shards when every shard boosts against the same
+	// landmark, so the first routed edge pins the landmark on every shard at
+	// once (they are still quiescent: nothing has been appended to any
+	// ring). clock is the engine-wide event-time counter stamped onto
+	// untimed edges (edge TS 0) so that arrival-order decay is coherent
+	// across shards — per-shard positions would advance at ~1/P the global
+	// rate. Both advance in the accepted order, which is also every shard's
+	// run order.
 	decay       bool
 	landmarked  bool
 	clock       uint64
-	horizon     atomic.Uint64 // max event time admitted; mutated under decayMu, read lock-free
+	horizon     atomic.Uint64 // max event time admitted; mutated under admit, read lock-free
 	landmarkVal atomic.Uint64 // pinned landmark L (0 = not pinned yet); read lock-free
 
 	// restartsTotal counts shard consumer restarts across all shards
@@ -216,9 +215,9 @@ type shard struct {
 	// when no immutable clone exists to restore from (see supervisor.go).
 	cfg core.Config
 
-	// epoch counts edges ever routed to this shard; producers bump it at
-	// admission (under admit.RLock), snapshot bookkeeping reads it with
-	// producers excluded, so any observed value is exact at a barrier.
+	// epoch counts edges ever routed to this shard; admission bumps it
+	// under admit, and snapshot bookkeeping reads it with producers
+	// excluded, so any observed value is exact at a barrier.
 	epoch atomic.Uint64
 
 	// Self-healing state (see supervisor.go). restarts/lost/degraded/
@@ -265,9 +264,9 @@ type shardRef struct {
 	refs int
 }
 
-// groupScratch is the reusable per-batch buffer of the shard-grouping
-// router: shard index per edge, per-shard counts/offsets, and the scatter
-// buffer holding the batch regrouped into per-shard contiguous runs.
+// groupScratch is the reusable buffer of the shard-grouping router: shard
+// index per edge, per-shard counts/offsets, and the scatter buffer holding
+// one grouping pass regrouped into per-shard contiguous runs.
 type groupScratch struct {
 	idx    []int32
 	count  []int32
@@ -340,7 +339,6 @@ func newParallel(cfg core.Config, shards, ringCap int) (*Parallel, error) {
 // startShards launches the supervised consumer goroutines; shared by the
 // constructor and checkpoint restore.
 func (p *Parallel) startShards() {
-	p.groups.New = func() any { return new(groupScratch) }
 	p.met.init()
 	for i, sh := range p.shards {
 		i, sh := i, sh
@@ -364,70 +362,57 @@ func shardCapacity(m, shards int) int {
 	return c
 }
 
-// Process routes one edge to its shard. It panics if p is closed.
+// Process routes one edge to its shard: a one-edge batch. It panics if p
+// is closed.
 func (p *Parallel) Process(e graph.Edge) {
-	p.admit.RLock()
-	// Deferred (not inline) so an injected ring-publish panic escaping to a
-	// recovering caller cannot leave the admission lock held and wedge every
-	// future barrier.
-	defer p.admit.RUnlock()
-	if p.closed.Load() {
-		panic("engine: Process on closed Parallel")
-	}
-	if p.decay {
-		var one [1]graph.Edge
-		one[0] = e
-		p.admitDecayed(one[:])
-	} else {
-		sh := p.shards[p.ShardOf(e)]
-		sh.epoch.Add(1)
-		sh.ring.append1(e)
-	}
+	p.ProcessBatch([]graph.Edge{e})
 }
 
-// ProcessBatch routes a batch of edges to their shards: one grouping pass
-// splits the batch into per-shard contiguous runs (order-preserving), and
-// each run is appended to its shard's ring. The batch is admitted
-// atomically with respect to Merge and Snapshot: a concurrent query sees
-// either none or all of it. It panics if p is closed. The error return is
-// always nil — admission cannot partially fail — and exists so Parallel
-// satisfies the Stream batch contract, where a windowed engine's rotation
-// can genuinely fail mid-batch.
+// ProcessBatch routes a batch of edges to their shards: grouping passes
+// split the batch into per-shard contiguous runs (order-preserving), and
+// each run is appended to its shard's ring. The batch is admitted whole
+// under the admission lock: every shard receives its runs before any other
+// batch's, and a concurrent query sees either none or all of it. It panics
+// if p is closed. The error return is always nil — admission cannot
+// partially fail — and exists so Parallel satisfies the Stream batch
+// contract, where a windowed engine's rotation can genuinely fail
+// mid-batch.
 func (p *Parallel) ProcessBatch(edges []graph.Edge) error {
-	p.admit.RLock()
+	p.admit.Lock()
 	// Deferred so a panic escaping mid-admission (e.g. an injected
 	// ring-publish fault caught by a recovering caller) cannot wedge the
 	// admission lock. Batch granularity makes the defer cost negligible.
-	defer p.admit.RUnlock()
+	defer p.admit.Unlock()
 	if p.closed.Load() {
 		panic("engine: ProcessBatch on closed Parallel")
 	}
 	if len(edges) == 0 {
 		return nil
 	}
-	if p.decay {
-		p.admitDecayed(edges)
+	if len(p.shards) == 1 && !p.decay {
+		// One shard and nothing to stamp: the batch is its own run.
+		p.shards[0].epoch.Add(uint64(len(edges)))
+		p.shards[0].ring.append(edges)
 		return nil
 	}
-	if len(p.shards) == 1 {
-		sh := p.shards[0]
-		sh.epoch.Add(uint64(len(edges)))
-		sh.ring.append(edges)
-		return nil
+	// Passes run in order, so each shard's order is the same as from one
+	// pass over the whole batch.
+	for len(edges) > 0 {
+		n := min(len(edges), DefaultRingCapacity)
+		p.groupAndAppend(edges[:n])
+		edges = edges[n:]
 	}
-	g := p.groups.Get().(*groupScratch)
-	p.groupAndAppend(g, edges, false)
-	p.groups.Put(g)
 	return nil
 }
 
 // groupAndAppend runs the counting-sort router: pass 1 hashes every edge to
-// its shard and counts run lengths, pass 2 scatters the batch (in original
+// its shard and counts run lengths, pass 2 scatters the edges (in original
 // order, so runs preserve it) into per-shard contiguous regions of the
-// scratch buffer — stamping decay event times along the way when stamp is
-// set — and finally each non-empty run is appended to its shard's ring.
-// The rings copy, so the scratch is reusable immediately.
-func (p *Parallel) groupAndAppend(g *groupScratch, edges []graph.Edge, stamp bool) {
+// scratch buffer — stamping decay event times along the way — and finally
+// each non-empty run is appended to its shard's ring. The rings copy, so
+// the scratch is reusable immediately. Callers hold admit.
+func (p *Parallel) groupAndAppend(edges []graph.Edge) {
+	g := &p.group
 	ns := len(p.shards)
 	g.grow(len(edges), ns)
 	for i, e := range edges {
@@ -440,12 +425,12 @@ func (p *Parallel) groupAndAppend(g *groupScratch, edges []graph.Edge, stamp boo
 		g.offset[s] = off
 		off += g.count[s]
 	}
-	horizon := p.horizon.Load()
+	stamp, horizon := p.decay, p.horizon.Load()
 	for i, e := range edges {
 		if stamp {
 			// Engine-wide event clock: untimed edges get the global stream
 			// position as their event time (checkpointed, so a restore
-			// resumes the same clock). Callers hold decayMu.
+			// resumes the same clock).
 			p.clock++
 			if e.TS == 0 {
 				e.TS = p.clock
@@ -476,20 +461,8 @@ func (p *Parallel) groupAndAppend(g *groupScratch, edges []graph.Edge, stamp boo
 	}
 }
 
-// admitDecayed is the decayed admission path: stamp, group and append under
-// decayMu, so that the engine clock, the landmark pin and the per-shard run
-// order all agree on one serialization of the producers. Callers hold
-// admit.RLock.
-func (p *Parallel) admitDecayed(edges []graph.Edge) {
-	g := p.groups.Get().(*groupScratch)
-	p.decayMu.Lock()
-	defer p.decayMu.Unlock()
-	p.groupAndAppend(g, edges, true)
-	p.groups.Put(g)
-}
-
 // pinLandmark pins the shared decay landmark from the first routed edge's
-// event time. Callers hold decayMu and nothing has ever been appended to a
+// event time. Callers hold admit and nothing has ever been appended to a
 // ring, so the shard samplers are untouched and quiescent; the ring append
 // that follows publishes the mutation to the consumers.
 func (p *Parallel) pinLandmark(ts uint64) {
@@ -511,9 +484,9 @@ func (p *Parallel) pinLandmark(ts uint64) {
 }
 
 // barrierLocked waits until every shard ring has drained and its sampler is
-// quiescent. Callers hold admit (write side), so no producer can append
-// while it runs. After Close the rings are already drained and the shard
-// goroutines stopped, so it is a no-op.
+// quiescent. Callers hold admit, so no producer can append while it runs.
+// After Close the rings are already drained and the shard goroutines
+// stopped, so it is a no-op.
 func (p *Parallel) barrierLocked() {
 	start := time.Now()
 	for _, sh := range p.shards {
@@ -666,7 +639,7 @@ func (p *Parallel) Snapshot() (*core.Sampler, error) {
 // shard untouched since its previous clone reuses that clone (it is
 // immutable; any number of merges may read it); a dirty shard registers a
 // new ref and schedules the clone on wg — the ref's sampler is valid only
-// after wg.Wait(). Callers hold p.mu and the admission write lock with the
+// after wg.Wait(). Callers hold p.mu and the admission lock with the
 // rings drained, and must eventually hand the ref to releaseCloneLocked.
 // Snapshot and WriteCheckpoint share this path, so a checkpoint right after
 // a snapshot (or vice versa) clones nothing at all.

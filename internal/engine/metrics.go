@@ -12,9 +12,8 @@ import (
 // scrape-time readers over the engine's existing counters — to a registry.
 //
 // Recording discipline: the drain instruments sit on the ingest hot path
-// (once per drained span) and are gated on obs.Enabled, so the gps_noobs
-// build compiles them out; the barrier/snapshot/checkpoint instruments are
-// per-query cold paths and record unconditionally.
+// and record once per drained span, not per edge; the barrier/snapshot/
+// checkpoint instruments are per-query cold paths.
 type engineMetrics struct {
 	drainNS      *obs.Histogram // span drain latency, ns
 	drainEdges   *obs.Histogram // edges per drained span
@@ -81,9 +80,9 @@ func (p *Parallel) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 		func() uint64 { return p.sumRings(func(r *ring) uint64 { return r.wakeups.Load() }) }, labels...)
 
 	reg.RegisterHistogram("gps_engine_drain_batch_seconds",
-		"Shard consumer latency per drained ring span (absent under gps_noobs builds).", p.met.drainNS, labels...)
+		"Shard consumer latency per drained ring span.", p.met.drainNS, labels...)
 	reg.RegisterHistogram("gps_engine_drain_batch_edges",
-		"Edges per drained ring span (absent under gps_noobs builds).", p.met.drainEdges, labels...)
+		"Edges per drained ring span.", p.met.drainEdges, labels...)
 	reg.RegisterHistogram("gps_engine_barrier_wait_seconds",
 		"Ring-drain wait inside the admission barrier (per Merge/Snapshot/Checkpoint).", p.met.barrierNS, labels...)
 	reg.RegisterHistogram("gps_engine_snapshot_stall_seconds",
@@ -100,11 +99,9 @@ func (p *Parallel) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 		"Clean shards that reused their previous immutable clone.",
 		func() uint64 { _, _, r := p.SnapshotStats(); return r }, labels...)
 
-	reg.RegisterCounterFunc("gps_engine_shard_restarts_total",
-		"Shard consumer panics recovered by the supervisor.",
+	reg.RegisterCounterFunc("gps_engine_shard_restarts_total", helpShardRestarts,
 		p.restartsTotal.Load, labels...)
-	reg.RegisterCounterFunc("gps_engine_shard_lost_edges_total",
-		"Edges dropped by lossy shard recoveries (gaps, quarantines, rebuilds).",
+	reg.RegisterCounterFunc("gps_engine_shard_lost_edges_total", helpShardLostEdges,
 		p.LostEdges, labels...)
 	reg.RegisterGaugeFunc("gps_engine_shards_degraded",
 		"Shards whose sampler has diverged from the fault-free run (sticky).",
@@ -137,6 +134,13 @@ func (p *Parallel) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 			func() float64 { return float64(p.horizon.Load()) }, labels...)
 	}
 }
+
+// The help texts of the supervisor counters, which plain and windowed
+// streams both export.
+const (
+	helpShardRestarts  = "Shard consumer panics recovered by the supervisor."
+	helpShardLostEdges = "Edges dropped by lossy shard recoveries (gaps, quarantines, rebuilds)."
+)
 
 func (p *Parallel) sumRings(f func(*ring) uint64) uint64 {
 	var total uint64

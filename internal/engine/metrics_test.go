@@ -85,13 +85,11 @@ func TestRegisterMetrics(t *testing.T) {
 	if got := value("gps_engine_checkpoint_encode_bytes_count"); got != 4 {
 		t.Fatalf("checkpoint encode bytes count = %g, want 4 freshly encoded shard blobs", got)
 	}
-	if obs.Enabled {
-		if got := value("gps_engine_drain_batch_edges_count"); got == 0 {
-			t.Fatal("drain_batch_edges recorded nothing on an instrumented build")
-		}
-		if sum, _ := scrapeValue(scrape, "gps_engine_drain_batch_edges_sum"); sum != 20000 {
-			t.Fatalf("drain_batch_edges_sum = %g, want 20000 (every routed edge drained exactly once)", sum)
-		}
+	if got := value("gps_engine_drain_batch_edges_count"); got == 0 {
+		t.Fatal("drain_batch_edges recorded nothing")
+	}
+	if sum, _ := scrapeValue(scrape, "gps_engine_drain_batch_edges_sum"); sum != 20000 {
+		t.Fatalf("drain_batch_edges_sum = %g, want 20000 (every routed edge drained exactly once)", sum)
 	}
 }
 

@@ -10,19 +10,18 @@ import (
 
 // ring is the bounded edge queue between the router and one shard
 // goroutine: a power-of-two circular buffer with a lock-free consumer and
-// mutex-serialized producers (a sharded-MPSC design — with P shards the
-// producer mutex is contended only when two producers route to the same
-// shard at the same instant, 1/P of the old engine-wide critical section).
+// one producer at a time — the router, appending under the engine's
+// admission lock.
 //
 // # Protocol
 //
-// The consumer owns head (the next unread position) and the producers own
+// The consumer owns head (the next unread position) and the producer owns
 // tail (the next free position); both only ever grow, and the occupied
 // region is [head, tail). The consumer's fast path never takes the mutex:
 // it loads tail, processes the contiguous span(s) directly out of the
 // buffer — the router copies edges in, so the shard sampler reads them
 // in place with no per-message allocation — and publishes the new head.
-// Producers append under mu, which also serializes the sync.Cond
+// The producer appends under mu, which also serializes the sync.Cond
 // handshakes:
 //
 //   - a producer finding the ring full waits on cond (counted in stalls —
@@ -31,7 +30,7 @@ import (
 //   - a barrier (drainWait) waits on cond until the ring is empty *and*
 //     processed — head covers everything appended.
 //
-// Wakeups: producers broadcast after every append (they hold mu already).
+// Wakeups: the producer broadcasts after every append (it holds mu already).
 // The consumer broadcasts after advancing head only when waiters is
 // non-zero — a racy read, but a missed wakeup is always rescued: the
 // consumer re-checks waiters on its next iteration, and its park path
@@ -40,10 +39,10 @@ import (
 // barriers; full-producer and parked-consumer states are mutually
 // exclusive (full implies non-empty), so a broadcast never self-deadlocks.
 //
-// Determinism: appends are serialized per ring, so each shard sees a total
-// order of runs; with a single producer that order is the stream order,
-// which is what keeps sharded sampling a deterministic function of (seed,
-// stream, shard count) regardless of batching or consumer scheduling.
+// Determinism: the engine appends one batch's runs at a time, so every
+// ring receives the accepted batches in one common order, which is what
+// keeps sharded sampling a deterministic function of (seed, accepted batch
+// order, shard count) regardless of batching or consumer scheduling.
 type ring struct {
 	buf  []graph.Edge
 	mask uint64
@@ -70,9 +69,8 @@ func newRing(capacity int) *ring {
 }
 
 // append copies edges into the ring in order, blocking while the ring is
-// full. Batches larger than the capacity are admitted in chunks; the
-// per-shard run order is the append order, so concurrent producers to the
-// same shard serialize here (and nowhere else).
+// full. Runs larger than the capacity are admitted in chunks; the
+// per-shard run order is the append order.
 func (r *ring) append(edges []graph.Edge) {
 	if fault.Enabled() {
 		// Before the lock: an injected panic here unwinds the producer
@@ -108,14 +106,6 @@ func (r *ring) append(edges []graph.Edge) {
 	r.mu.Unlock()
 }
 
-// append1 is the single-edge convenience used by Parallel.Process; the
-// backing array stays on the caller's stack (append copies).
-func (r *ring) append1(e graph.Edge) {
-	var one [1]graph.Edge
-	one[0] = e
-	r.append(one[:])
-}
-
 // depth returns the number of edges currently queued (appended but not yet
 // processed). Lock-free; a racing producer or consumer may move it by the
 // time the caller looks, so it is a gauge, not a barrier.
@@ -131,7 +121,7 @@ func (r *ring) depth() int {
 }
 
 // drainWait blocks until the ring is empty and fully processed. Callers
-// must have excluded producers (the engine holds the admission write lock),
+// must have excluded producers (the engine holds the admission lock),
 // so emptiness is stable once observed.
 func (r *ring) drainWait() {
 	if r.head.Load() == r.tail.Load() {

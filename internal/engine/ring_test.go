@@ -161,14 +161,13 @@ func TestConcurrentShardDisjointProducersDeterministic(t *testing.T) {
 	}
 }
 
-// TestConcurrentOverlappingProducersSharedRings drives the mutex-serialized
-// multi-producer append under contention: producers feed contiguous stripes
-// of one stream, so every producer's batches reach every shard and appends
-// to one ring interleave. Per-shard order then depends on scheduling, and
-// priorities with it, so the check is on the edge set; a capacity above the
-// stream length keeps every edge, which makes that check exact: nothing
-// lost, duplicated or evicted. With -race this is the router's shared-ring
-// data-race suite.
+// TestConcurrentOverlappingProducersSharedRings drives admission under
+// contention: producers feed contiguous stripes of one stream, so every
+// producer's batches reach every shard. Per-shard order follows the
+// accepted batch order, which depends on scheduling, and priorities with
+// it, so the check is on the edge set; a capacity above the stream length
+// keeps every edge, which makes that check exact: nothing lost, duplicated
+// or evicted. With -race this is the router's shared-ring data-race suite.
 func TestConcurrentOverlappingProducersSharedRings(t *testing.T) {
 	const producers = 4
 	edges := testStream(2500, 10000, 0x57)
@@ -212,6 +211,108 @@ func TestConcurrentOverlappingProducersSharedRings(t *testing.T) {
 		t.Fatalf("merged sample holds %d edges, want the stream's %d distinct edges", len(got), len(want))
 	}
 	t.Logf("ring stalls: %d", p.RingStats().Stalls)
+}
+
+// TestConcurrentProducersShareOneOrder pins the order admission promises
+// concurrent producers: every shard receives each batch's edges as one
+// contiguous run, and all shards receive the batches in one common order.
+// Four producers race over stripes of distinct edges through tiny rings; a
+// non-uniform weight function (the uniform one is never called) logs each
+// shard's arrivals in the order its sampler sees them, and a capacity above
+// the stream length makes every edge an arrival.
+func TestConcurrentProducersShareOneOrder(t *testing.T) {
+	const producers, shards = 4, 4
+	edges := testStream(2500, 10000, 0x0DE7)
+	logs := make([][]graph.Edge, shards) // each written by its shard's goroutine only
+	var p *Parallel
+	weight := func(e graph.Edge, _ *core.Reservoir) float64 {
+		s := p.ShardOf(e)
+		logs[s] = append(logs[s], e)
+		return 1 + float64(e.Key()%3)
+	}
+	p, err := newParallel(core.Config{Capacity: 4 * len(edges), Weight: weight, Seed: 0x0DE7}, shards, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	// Cut every producer's stripe into random batches of 1–300 edges and
+	// number the batches globally.
+	batchOf := make(map[uint64]int, len(edges))
+	batches := make([][][]graph.Edge, producers)
+	stripe := (len(edges) + producers - 1) / producers
+	rng := randx.New(0x0DE7)
+	id := 0
+	for pi := range batches {
+		part := edges[min(pi*stripe, len(edges)):min((pi+1)*stripe, len(edges))]
+		for off := 0; off < len(part); id++ {
+			n := min(1+int(rng.Uint64()%300), len(part)-off)
+			for _, e := range part[off : off+n] {
+				batchOf[e.Key()] = id
+			}
+			batches[pi] = append(batches[pi], part[off:off+n])
+			off += n
+		}
+	}
+
+	var wg sync.WaitGroup
+	for _, bs := range batches {
+		wg.Add(1)
+		go func(bs [][]graph.Edge) {
+			defer wg.Done()
+			for _, b := range bs {
+				p.ProcessBatch(b)
+			}
+		}(bs)
+	}
+	wg.Wait()
+	if got := p.Arrivals(); got != uint64(len(edges)) { // barrier: the logs are complete
+		t.Fatalf("Arrivals = %d, want %d", got, len(edges))
+	}
+
+	// Reduce each shard's log to its batch order, requiring every batch's
+	// edges to be contiguous on the shard.
+	orders := make([][]int, shards)
+	logged := 0
+	for s, log := range logs {
+		seen := make(map[int]bool)
+		for _, e := range log {
+			b := batchOf[e.Key()]
+			if n := len(orders[s]); n > 0 && orders[s][n-1] == b {
+				continue
+			}
+			if seen[b] {
+				t.Fatalf("shard %d: batch %d split by another batch's edges", s, b)
+			}
+			seen[b] = true
+			orders[s] = append(orders[s], b)
+		}
+		logged += len(log)
+	}
+	if logged != len(edges) {
+		t.Fatalf("weight function saw %d arrivals, want %d", logged, len(edges))
+	}
+	// The batches two shards share must reach them in the same order.
+	shared := func(a, b []int) []int {
+		in := make(map[int]bool, len(b))
+		for _, x := range b {
+			in[x] = true
+		}
+		var out []int
+		for _, x := range a {
+			if in[x] {
+				out = append(out, x)
+			}
+		}
+		return out
+	}
+	for a := 0; a < shards; a++ {
+		for b := a + 1; b < shards; b++ {
+			if !slices.Equal(shared(orders[a], orders[b]), shared(orders[b], orders[a])) {
+				t.Fatalf("shards %d and %d receive their shared batches in different orders", a, b)
+			}
+		}
+	}
 }
 
 // TestRingOrderAndWraparound drives a tiny ring directly: every appended

@@ -2,11 +2,11 @@ package engine
 
 import (
 	"fmt"
+	"time"
 
 	"gps/internal/core"
 	"gps/internal/fault"
 	"gps/internal/graph"
-	"gps/internal/obs"
 )
 
 // Shard supervision: each shard consumer runs under a recover loop that
@@ -85,13 +85,11 @@ func (p *Parallel) consumeShard(sh *shard, streak *int) (done bool) {
 				panic(err)
 			}
 		}
-		start := obs.Start()
+		start := time.Now()
 		sh.s.ProcessBatch(edges)
 		*streak = 0
-		if obs.Enabled {
-			p.met.drainNS.ObserveSince(start)
-			p.met.drainEdges.Observe(uint64(len(edges)))
-		}
+		p.met.drainNS.ObserveSince(start)
+		p.met.drainEdges.Observe(uint64(len(edges)))
 	})
 	return true
 }

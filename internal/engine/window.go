@@ -66,6 +66,12 @@ type Windowed struct {
 	processed uint64 // records ever fed (the stream position a resume skips)
 	closed    bool
 
+	// Supervisor counters of the panes rotation retired: their shard
+	// restarts and lost edges, so the window counts them across panes the
+	// way one Parallel counts them across its shards.
+	retiredRestarts uint64
+	retiredLost     uint64
+
 	met windowMetrics
 }
 
@@ -241,6 +247,8 @@ func (w *Windowed) rotateTo(idx uint64) error {
 		return fmt.Errorf("engine: pane %d rotation: %w", w.activeIdx, err)
 	}
 	degraded := w.active.Degraded()
+	w.retiredRestarts += w.active.Restarts()
+	w.retiredLost += w.active.LostEdges()
 	w.active.Close()
 	w.retired = append(w.retired, windowPane{idx: w.activeIdx, s: frozen, degraded: degraded})
 	w.activeIdx = idx

@@ -23,8 +23,15 @@ func (w *Windowed) Snapshot() (*core.Sampler, error) { return nil, errNoStanding
 func (w *Windowed) Estimate(win uint64) (WindowEstimates, error) { return w.Query(win) }
 
 // Arrivals is the windowed stream position: every record fed, counted once
-// across the deletion fan-out — the fence flush barriers report.
-func (w *Windowed) Arrivals() uint64 { return w.Processed() }
+// across the deletion fan-out — the fence flush barriers report. Like a
+// plain engine's, it drains the live pane first, so every record it counts
+// has reached a shard sampler.
+func (w *Windowed) Arrivals() uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.active.Arrivals()
+	return w.processed
+}
 
 // WindowSpec reports the window geometry (ok=true: this engine is windowed).
 func (w *Windowed) WindowSpec() (WindowConfig, bool) { return w.Config(), true }
@@ -62,9 +69,13 @@ func (w *Windowed) Health() ([]ShardHealth, bool) { return w.Engine().Health() }
 // RegisterMetrics attaches the gps_window_* families: pane rotation
 // replaces the live Parallel, so per-instance engine instruments would go
 // stale mid-run — the window families cover the chain instead, including
-// the window query's stage histograms. The readers take the window mutex
-// briefly (no engine barrier), so scrapes stay cheap. labels (e.g. a
-// stream name) are stamped on every sample.
+// the window query's stage histograms. The shard supervisor counters keep
+// their gps_engine_* names and count across every pane the window has
+// run; each reads the retired panes' total and the live pane under one hold
+// of the window mutex, so a rotation cannot move a count between them
+// mid-read. The readers take the window mutex briefly (no engine barrier),
+// so scrapes stay cheap. labels (e.g. a stream name) are stamped on every
+// sample.
 func (w *Windowed) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 	wc := w.Config()
 	reg.RegisterGaugeFunc("gps_window_width",
@@ -79,6 +90,18 @@ func (w *Windowed) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 	reg.RegisterGaugeFunc("gps_window_horizon",
 		"Largest event time ingested (the horizon window queries end at).",
 		func() float64 { return float64(w.Horizon()) }, labels...)
+	reg.RegisterCounterFunc("gps_engine_shard_restarts_total", helpShardRestarts,
+		func() uint64 {
+			w.mu.Lock()
+			defer w.mu.Unlock()
+			return w.retiredRestarts + w.active.Restarts()
+		}, labels...)
+	reg.RegisterCounterFunc("gps_engine_shard_lost_edges_total", helpShardLostEdges,
+		func() uint64 {
+			w.mu.Lock()
+			defer w.mu.Unlock()
+			return w.retiredLost + w.active.LostEdges()
+		}, labels...)
 	reg.RegisterHistogram("gps_window_query_lock_seconds",
 		"Window mutex hold per window query (live-pane snapshot and merge), during which ingest into the stream waits.",
 		w.met.lockNS, labels...)

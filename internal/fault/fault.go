@@ -7,8 +7,7 @@
 // # Gating
 //
 // Disarmed — the default — a fault point costs one atomic load and a
-// predicted-not-taken branch, the same near-zero-overhead pattern as
-// obs.Enabled:
+// predicted-not-taken branch:
 //
 //	if fault.Enabled() {
 //		if err := fault.Hit(fault.CheckpointFsync); err != nil {

@@ -11,17 +11,6 @@
 // standalone (the engine owns its histograms before any registry exists)
 // and attached to a Registry by name; the registry is only touched at
 // scrape time.
-//
-// # The gps_noobs build tag
-//
-// Hot-path instrumentation (per-edge counters in core, per-span timings in
-// the engine ring consumers) is guarded by the Enabled constant, which the
-// gps_noobs build tag flips to false: the guards and the time.Now calls
-// behind Start/ObserveSince then compile to nothing, giving a build with
-// the instrumentation provably absent. The instrumented ingest hot path
-// must stay within ~2% of the gps_noobs build. Instruments themselves remain
-// functional under the tag — only the guarded call sites disappear — so
-// cold-path metrics (per-request counters, checkpoint timings) still work.
 package obs
 
 import (
@@ -144,18 +133,8 @@ func (h *Histogram) Observe(v uint64) {
 	h.sum.Add(v)
 }
 
-// Start returns a timestamp for ObserveSince, or the zero time when the
-// build is gps_noobs-tagged — the paired ObserveSince is then a no-op and
-// the clock read is compiled out.
-func Start() time.Time {
-	if !Enabled {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// ObserveSince records the nanoseconds elapsed since start (from Start or
-// time.Now). A zero start — a disabled Start() — records nothing.
+// ObserveSince records the nanoseconds elapsed since start. A zero start
+// records nothing.
 func (h *Histogram) ObserveSince(start time.Time) {
 	if start.IsZero() {
 		return

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"gps/internal/checkpoint"
-	"gps/internal/core"
 	"gps/internal/gen"
 )
 
@@ -35,7 +34,7 @@ func estimateBody(t *testing.T, url string) estimateResponse {
 func TestServeCheckpointRestartEquality(t *testing.T) {
 	edges := gen.HolmeKim(800, 5, 0.5, 0x1CE)
 	dir := t.TempDir()
-	cfg := Config{Capacity: 300, Weight: core.TriangleWeight, WeightName: "triangle",
+	cfg := Config{Capacity: 300, WeightName: "triangle",
 		Seed: 44, Shards: 4, CheckpointDir: dir}
 
 	// Uninterrupted reference run.

@@ -38,7 +38,6 @@ func TestServeDecayedEstimates(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		Capacity:      500,
 		WeightName:    "triangle",
-		Weight:        nil, // resolved below via WeightByName for parity with main.go
 		Seed:          7,
 		Shards:        2,
 		HalfLife:      120,

@@ -448,7 +448,9 @@ func TestServeDegradedFromEngine(t *testing.T) {
 // degraded, the live pane before its rotation and the retired one after it,
 // and no answer that leaves it out: a ?window= that starts after it, or
 // any query once the pane is pruned. The engine reports itself degraded
-// while it retains the pane.
+// while it retains the pane. The supervisor counters in /metrics count the
+// recovery across panes: they appear with it and never drop, neither when
+// its pane retires nor when it is pruned.
 func TestServeWindowDegradedFromEngine(t *testing.T) {
 	edges := gen.ErdosRenyi(60, 500, 13)
 	for i := range edges {
@@ -482,6 +484,20 @@ func TestServeWindowDegradedFromEngine(t *testing.T) {
 			t.Fatalf("%s: engine Degraded() = %v, want %v", step, got, want)
 		}
 	}
+	var restarts, lost float64
+	counters := func(step string) {
+		t.Helper()
+		scrape := scrapeMetrics(t, ts.URL)
+		r, okR := metricValue(scrape, "gps_engine_shard_restarts_total")
+		l, okL := metricValue(scrape, "gps_engine_shard_lost_edges_total")
+		if !okR || !okL {
+			t.Fatalf("%s: supervisor counters in /metrics: restarts %v, lost edges %v; want both", step, okR, okL)
+		}
+		if r < restarts || l < lost {
+			t.Fatalf("%s: restarts %g, lost edges %g dropped from %g, %g", step, r, l, restarts, lost)
+		}
+		restarts, lost = r, l
+	}
 
 	// Pane 0 holds every edge at TS 1..500. A first batch drains cleanly so
 	// the scratch rebuild has something to lose; no query runs before the
@@ -492,6 +508,10 @@ func TestServeWindowDegradedFromEngine(t *testing.T) {
 	fault.Disarm()
 	check("live pane", "", true)
 	engineDegraded("live pane", true)
+	counters("live pane")
+	if restarts != 1 || lost == 0 {
+		t.Fatalf("live pane: restarts %g, lost edges %g; want 1 restart that lost edges", restarts, lost)
+	}
 
 	// TS 1500 rotates pane 0 out of the live engine: the window still
 	// merges it, a 400-wide window (cut 1100) does not.
@@ -499,11 +519,13 @@ func TestServeWindowDegradedFromEngine(t *testing.T) {
 	check("retired pane", "", true)
 	check("retired pane", "?window=400", false)
 	engineDegraded("retired pane", true)
+	counters("retired pane")
 
 	// TS 3000 moves the window past pane 0, which is pruned.
 	post(graph.NewEdge(1000, 1002).At(3000))
 	check("pruned pane", "", false)
 	engineDegraded("pruned pane", false)
+	counters("pruned pane")
 }
 
 // TestServeCheckpointFaultClasses: an injected persistence failure answers

@@ -240,7 +240,7 @@ func (s *Server) registerTenantMetrics(t *tenant) {
 			return 0
 		}, l...)
 	s.reg.RegisterCounterFunc("gps_core_accepts_total",
-		"Arrivals admitted to the reservoir, as of the latest snapshot (0 under gps_noobs builds).",
+		"Arrivals admitted to the reservoir, as of the latest snapshot.",
 		func() uint64 {
 			if sn := t.snaps.current(); sn != nil {
 				return sn.sampler.Accepts()
@@ -248,7 +248,7 @@ func (s *Server) registerTenantMetrics(t *tenant) {
 			return 0
 		}, l...)
 	s.reg.RegisterCounterFunc("gps_core_evicts_total",
-		"Resident edges evicted by later arrivals, as of the latest snapshot (0 under gps_noobs builds).",
+		"Resident edges evicted by later arrivals, as of the latest snapshot.",
 		func() uint64 {
 			if sn := t.snaps.current(); sn != nil {
 				return sn.sampler.Evicts()

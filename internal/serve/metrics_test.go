@@ -132,11 +132,9 @@ func TestServeMetricsFourLayers(t *testing.T) {
 	if got := value("gps_core_threshold"); got <= 0 {
 		t.Fatalf("threshold = %g, want > 0 after overflow", got)
 	}
-	if obs.Enabled {
-		// accepts - evicts == fill, aggregated across shards through Merge.
-		if a, e := value("gps_core_accepts_total"), value("gps_core_evicts_total"); a-e != 512 {
-			t.Fatalf("accepts %g - evicts %g = %g, want reservoir fill 512", a, e, a-e)
-		}
+	// accepts - evicts == fill, aggregated across shards through Merge.
+	if a, e := value("gps_core_accepts_total"), value("gps_core_evicts_total"); a-e != 512 {
+		t.Fatalf("accepts %g - evicts %g = %g, want reservoir fill 512", a, e, a-e)
 	}
 	if got := value("gps_engine_shards"); got != 2 {
 		t.Fatalf("engine shards = %g, want 2", got)
@@ -159,7 +157,7 @@ func TestServeMetricsFourLayers(t *testing.T) {
 	if got := value("gps_serve_snapshot_age_seconds_count"); got != 1 {
 		t.Fatalf("snapshot age observations = %g, want 1 (one estimate served)", got)
 	}
-	if got := value("gps_serve_snapshot_estimate_seconds_count"); obs.Enabled && got != 1 {
+	if got := value("gps_serve_snapshot_estimate_seconds_count"); got != 1 {
 		t.Fatalf("Algorithm 2 observations = %g, want 1 (one refresh computed estimates)", got)
 	}
 
@@ -472,9 +470,6 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 // times: a refresh that computes estimates is observed once, and a refresh
 // that reuses them (only duplicates reached the sampler) is not observed.
 func TestSnapshotEstimateHistogram(t *testing.T) {
-	if !obs.Enabled {
-		t.Skip("timers are compiled out in gps_noobs builds")
-	}
 	s, err := core.NewSampler(core.Config{Capacity: 64, Seed: 3})
 	if err != nil {
 		t.Fatal(err)

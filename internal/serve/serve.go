@@ -75,11 +75,10 @@ import (
 type Config struct {
 	// Capacity is the reservoir size m of the underlying sampler.
 	Capacity int
-	// Weight is the sampling weight function; nil means uniform. It must
-	// be pure (stateless): the sharded engine calls it concurrently.
-	Weight core.WeightFunc
-	// WeightName is reported by /v1/stats (the function itself has no
-	// useful name at runtime).
+	// WeightName names the sampling weight function: "uniform" (the
+	// default when empty), "triangle" or "adjacency". NewServer refuses any
+	// other name. The name is what /v1/stats reports and checkpoints
+	// record, so a restore resumes with the same weight.
 	WeightName string
 	// Seed makes the whole service run deterministic for a given ingestion
 	// order.
@@ -235,6 +234,9 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if cfg.WeightName == "" {
 		cfg.WeightName = "uniform"
+	}
+	if _, err := WeightByName(cfg.WeightName); err != nil {
+		return nil, err
 	}
 	if cfg.CheckpointKeep <= 0 {
 		cfg.CheckpointKeep = 3

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"gps/internal/core"
+	"gps/internal/engine"
 	"gps/internal/exact"
 	"gps/internal/gen"
 	"gps/internal/graph"
@@ -427,10 +428,45 @@ func TestServeStalenessCache(t *testing.T) {
 	}
 }
 
+// TestServeWeightNameSelectsWeight pins Config's one weight knob: a server
+// given only WeightName "triangle" samples by triangles, estimating bit for
+// bit what an engine fed the same stream with core.TriangleWeight does, and
+// NewServer refuses a name it cannot resolve.
+func TestServeWeightNameSelectsWeight(t *testing.T) {
+	edges := gen.HolmeKim(600, 5, 0.5, 0x3E1)
+	_, ts := newTestServer(t, Config{Capacity: 300, WeightName: "triangle", Seed: 21, Shards: 2})
+	postEdges(t, ts.URL, edges, true).Body.Close()
+	flush(t, ts.URL)
+	got := estimateBody(t, ts.URL)
+
+	ref, err := engine.NewParallel(core.Config{Capacity: 300, Weight: core.TriangleWeight, Seed: 21}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	ref.ProcessBatch(edges)
+	snap, err := ref.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.EstimatePost(snap)
+	if got.Triangles != want.Triangles || got.Wedges != want.Wedges || got.Threshold != snap.Threshold() {
+		t.Fatalf("served (triangles %v, wedges %v, z* %v), want the triangle-weighted engine's (%v, %v, %v)",
+			got.Triangles, got.Wedges, got.Threshold, want.Triangles, want.Wedges, snap.Threshold())
+	}
+
+	for _, name := range []string{"triangel", "adaptive"} {
+		if s, err := NewServer(Config{Capacity: 10, WeightName: name}); err == nil {
+			s.Close()
+			t.Errorf("NewServer accepted weight %q", name)
+		}
+	}
+}
+
 // TestServeStatsAndHealth smoke-checks the observability endpoints.
 func TestServeStatsAndHealth(t *testing.T) {
 	edges := gen.ErdosRenyi(60, 300, 17)
-	s, ts := newTestServer(t, Config{Capacity: 100, Seed: 4, WeightName: "triangle", Weight: core.TriangleWeight})
+	s, ts := newTestServer(t, Config{Capacity: 100, Seed: 4, WeightName: "triangle"})
 	postEdges(t, ts.URL, edges, false).Body.Close()
 	flush(t, ts.URL)
 	resp, err := http.Get(ts.URL + "/v1/estimate?max_stale=0s")

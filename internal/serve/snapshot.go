@@ -218,7 +218,7 @@ func (c *snapshotCache) refresh(op *refreshOp, gen uint64) {
 		est = prev.est
 		c.met.estReuse.Inc()
 	} else {
-		start := obs.Start()
+		start := time.Now()
 		est = core.EstimatePost(sampler)
 		c.met.estimate.ObserveSince(start)
 	}

@@ -145,11 +145,10 @@ func (s *Server) streamConfig(spec StreamSpec) (Config, error) {
 		cfg.Capacity = spec.Capacity
 	}
 	if spec.Weight != "" {
-		wfn, err := WeightByName(spec.Weight)
-		if err != nil {
+		if _, err := WeightByName(spec.Weight); err != nil {
 			return Config{}, fmt.Errorf("stream %q: %w", spec.Name, err)
 		}
-		cfg.Weight, cfg.WeightName = wfn, spec.Weight
+		cfg.WeightName = spec.Weight
 	}
 	if spec.Seed != 0 {
 		cfg.Seed = spec.Seed
@@ -181,11 +180,15 @@ func (s *Server) streamConfig(spec StreamSpec) (Config, error) {
 // newTenant constructs a fresh stream from its effective config — the one
 // constructor site where the concrete engine shapes are chosen.
 func newTenant(name string, cfg Config) (*tenant, error) {
+	weight, err := WeightByName(cfg.WeightName)
+	if err != nil {
+		return nil, err
+	}
 	var eng engine.Stream
 	if cfg.Window > 0 {
 		win, err := engine.NewWindowed(engine.WindowConfig{
 			Capacity:  cfg.Capacity,
-			Weight:    cfg.Weight,
+			Weight:    weight,
 			Seed:      cfg.Seed,
 			Shards:    cfg.Shards,
 			PaneWidth: cfg.PaneWidth,
@@ -199,7 +202,7 @@ func newTenant(name string, cfg Config) (*tenant, error) {
 	} else {
 		par, err := engine.NewParallel(core.Config{
 			Capacity: cfg.Capacity,
-			Weight:   cfg.Weight,
+			Weight:   weight,
 			Seed:     cfg.Seed,
 			Decay:    core.Decay{HalfLife: cfg.HalfLife},
 		}, cfg.Shards)
@@ -267,7 +270,6 @@ func restoreSingle(br *bufio.Reader, cfg Config) (*tenant, error) {
 		eng = par
 	}
 	cfg.WeightName = weightName
-	cfg.Weight, _ = WeightByName(weightName)
 	return newTenantState(defaultStream, cfg, eng, position), nil
 }
 
@@ -323,7 +325,6 @@ func restoreMulti(br *bufio.Reader, base Config) ([]*tenant, error) {
 			cfg.HalfLife = par.Decay().HalfLife
 			cfg.Window, cfg.PaneWidth = 0, 0
 			cfg.WeightName = weightName
-			cfg.Weight, _ = WeightByName(weightName)
 			tenants = append(tenants, newTenantState(e.name, cfg, par, par.Processed()))
 		case checkpoint.KindWindow:
 			win, weightName, err := engine.ReadWindowedDocument(br, WeightByName)
@@ -338,7 +339,6 @@ func restoreMulti(br *bufio.Reader, base Config) ([]*tenant, error) {
 			cfg.PaneWidth = wc.PaneWidth
 			cfg.HalfLife = 0
 			cfg.WeightName = weightName
-			cfg.Weight, _ = WeightByName(weightName)
 			tenants = append(tenants, newTenantState(e.name, cfg, win, win.Processed()))
 		default:
 			return nil, fmt.Errorf("checkpoint: multi-stream directory lists stream %q with unknown kind %#x", e.name, e.kind)

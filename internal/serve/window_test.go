@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"gps/internal/core"
 	"gps/internal/exact"
 	"gps/internal/gen"
 	"gps/internal/graph"
@@ -181,7 +180,7 @@ func TestServeWindowedCheckpointRestartEquality(t *testing.T) {
 	records, _, _ := turnstileStream(base, 60)
 	span := uint64(len(base)) // upper bound; actual horizon is uniq count
 	dir := t.TempDir()
-	cfg := Config{Capacity: 200, Weight: core.TriangleWeight, WeightName: "triangle",
+	cfg := Config{Capacity: 200, WeightName: "triangle",
 		Seed: 21, Shards: 2, Window: span / 2, PaneWidth: span / 10, CheckpointDir: dir}
 
 	queryBoth := func(url string) (full, half estimateResponse) {
