@@ -55,7 +55,6 @@ func chaosBench(edges, sample, shards int, seed uint64) (string, error) {
 			WeightName:   "triangle",
 			Seed:         seed,
 			Shards:       shards,
-			QueueDepth:   64,
 			MaxStaleness: 100 * time.Millisecond,
 		}
 	}

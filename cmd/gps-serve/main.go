@@ -5,7 +5,7 @@
 // Usage:
 //
 //	gps-serve -addr :8080 -m 100000 [-weight triangle|uniform|adjacency]
-//	          [-shards P] [-queue 64] [-staleness 250ms] [-seed S]
+//	          [-shards P] [-max-pending N] [-staleness 250ms] [-seed S]
 //	          [-half-life H] [-window W -pane P] [-restore path]
 //	          [-streams manifest.json] [-checkpoint-dir dir]
 //	          [-checkpoint-every 30s] [-checkpoint-keep 3]
@@ -14,13 +14,14 @@
 // Multi-tenant streams: the server always hosts a "default" stream shaped
 // by the flags above; -streams FILE declares additional named streams at
 // boot (a JSON array of specs — name plus optional capacity, weight, seed,
-// shards, half_life, window, pane_width, queue_depth; omitted fields
-// inherit the flags). Streams can also be created and deleted at runtime
-// via POST/DELETE /v1/streams/{name}, and every /v1/* endpoint takes an
+// shards, half_life, window, pane_width; omitted fields inherit the
+// flags). Streams can also be created and deleted at runtime via
+// POST/DELETE /v1/streams/{name}, and every /v1/* endpoint takes an
 // optional ?stream=NAME selector (absent = the default stream). Each
-// stream has its own engine, bounded ingest queue and fair share of
-// -max-pending, so one saturating tenant is rejected alone. Persisted
-// checkpoints cover every stream in one file and restore per stream.
+// stream has its own engine, an ingest queue of at most 64 batches, and a
+// fair share of -max-pending, so one saturating tenant is rejected alone.
+// Persisted checkpoints cover every stream in one file and restore per
+// stream.
 //
 // Temporal sampling: -half-life H enables forward-decay sampling — recent
 // edges dominate the reservoir and /v1/estimate reports decayed counts at
@@ -156,7 +157,6 @@ func run(args []string, errw io.Writer, ready chan<- string, stop <-chan struct{
 		m           = fs.Int("m", 100000, "reservoir capacity")
 		weightName  = fs.String("weight", "triangle", "weight function: triangle, uniform, adjacency")
 		shards      = fs.Int("shards", 0, "engine shard count (0 = GOMAXPROCS)")
-		queue       = fs.Int("queue", 64, "max pending ingest batches before 503")
 		maxPending  = fs.Int("max-pending", 4<<20, "max decoded edges waiting in the ingest queue before 503")
 		staleness   = fs.Duration("staleness", 250*time.Millisecond, "default snapshot staleness bound")
 		halfLife    = fs.Float64("half-life", 0, "forward-decay half-life in event-time units (0 disables time-decayed sampling)")
@@ -213,7 +213,6 @@ func run(args []string, errw io.Writer, ready chan<- string, stop <-chan struct{
 		WeightName:         *weightName,
 		Seed:               *seed,
 		Shards:             *shards,
-		QueueDepth:         *queue,
 		MaxPendingEdges:    *maxPending,
 		MaxBodyBytes:       *maxBody,
 		MaxStaleness:       *staleness,

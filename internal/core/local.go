@@ -106,22 +106,33 @@ func NewInStreamLocal(cfg Config) (*InStreamLocal, error) {
 func (t *InStreamLocal) Sampler() *Sampler { return t.s }
 
 // Process handles one edge arrival: local snapshots first, then the GPS
-// sampling step.
+// sampling step. A deletion record of a sampled edge retracts the share of
+// every triangle the edge still closes in the reservoir, at current
+// probabilities and with each corner floored at zero — the approximation
+// InStream.retractEstimate documents — before the sampler removes the edge;
+// a deletion of an unsampled edge changes no count.
 func (t *InStreamLocal) Process(e graph.Edge) bool {
-	if t.s.res.Contains(e) {
+	res := t.s.res
+	sampled := res.Contains(e)
+	if sampled && !e.Del {
 		t.s.duplicates++
 		return true
 	}
-	res := t.s.res
-	res.commonNeighborsWithSlots(e.U, e.V, func(v3 graph.NodeID, su, sv int32) bool {
-		q1 := t.s.probForWeight(res.entryAt(su).Weight)
-		q2 := t.s.probForWeight(res.entryAt(sv).Weight)
-		share := 1 / (q1 * q2)
-		t.counts[e.U] += share
-		t.counts[e.V] += share
-		t.counts[v3] += share
-		return true
-	})
+	if sampled || !e.Del {
+		res.commonNeighborsWithSlots(e.U, e.V, func(v3 graph.NodeID, su, sv int32) bool {
+			q1 := t.s.probForWeight(res.entryAt(su).Weight)
+			q2 := t.s.probForWeight(res.entryAt(sv).Weight)
+			share := 1 / (q1 * q2)
+			for _, v := range [3]graph.NodeID{e.U, e.V, v3} {
+				if e.Del {
+					t.counts[v] = max(0, t.counts[v]-share)
+				} else {
+					t.counts[v] += share
+				}
+			}
+			return true
+		})
+	}
 	return t.s.Process(e)
 }
 

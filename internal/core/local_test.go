@@ -129,3 +129,44 @@ func TestInStreamLocalDuplicates(t *testing.T) {
 		t.Fatalf("Duplicates = %d", in.Sampler().Duplicates())
 	}
 }
+
+// TestInStreamLocalDeletions: deleting a sampled edge retracts the shares
+// of the triangles it closes and removes it from the sample, and deleting
+// an unsampled edge that would close a triangle credits nothing.
+func TestInStreamLocalDeletions(t *testing.T) {
+	tri := []graph.Edge{graph.NewEdge(1, 2), graph.NewEdge(2, 3), graph.NewEdge(1, 3)}
+	zero := LocalTriangles{1: 0, 2: 0, 3: 0}
+	check := func(step string, in *InStreamLocal, want LocalTriangles, applied, unsampled uint64) {
+		t.Helper()
+		for v, c := range want {
+			if got := in.Counts()[v]; got != c {
+				t.Fatalf("%s: node %d count %v, want %v (counts %v)", step, v, got, c, in.Counts())
+			}
+		}
+		if a, u := in.Sampler().Deletions(); a != applied || u != unsampled {
+			t.Fatalf("%s: deletions %d applied, %d unsampled; want %d, %d", step, a, u, applied, unsampled)
+		}
+		if d := in.Sampler().Duplicates(); d != 0 {
+			t.Fatalf("%s: %d duplicates, want 0", step, d)
+		}
+	}
+
+	in, _ := NewInStreamLocal(Config{Capacity: 8, Seed: 1})
+	for _, e := range tri {
+		in.Process(e)
+	}
+	check("triangle", in, LocalTriangles{1: 1, 2: 1, 3: 1}, 0, 0)
+	in.Process(tri[2].AsDeletion())
+	check("resident deletion", in, zero, 1, 0)
+	if in.Sampler().res.Contains(tri[2]) {
+		t.Fatal("deleted edge is still sampled")
+	}
+	in.Process(tri[2])
+	check("re-insertion", in, LocalTriangles{1: 1, 2: 1, 3: 1}, 1, 0)
+
+	in, _ = NewInStreamLocal(Config{Capacity: 8, Seed: 1})
+	in.Process(tri[0])
+	in.Process(tri[1])
+	in.Process(tri[2].AsDeletion())
+	check("absent deletion", in, zero, 0, 1)
+}

@@ -23,9 +23,9 @@ import (
 //
 //   - Telemetry: RegisterMetrics attaches the engine's metric families;
 //     Health and Degraded report the shard supervisors (on a Windowed
-//     engine, Health reads the live pane's and Degraded every retained
-//     pane's too), and RetiredDeletions the deletion verdicts a scrape may
-//     read without a barrier.
+//     engine, counts span every pane it has run and the degraded flags
+//     every pane it retains), and RetiredDeletions the deletion verdicts a
+//     scrape may read without a barrier.
 //
 //   - Capability accessors: DecayLandmark and WindowSpec report which time
 //     model the stream runs, with zero values on engines that lack the

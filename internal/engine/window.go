@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -66,11 +67,10 @@ type Windowed struct {
 	processed uint64 // records ever fed (the stream position a resume skips)
 	closed    bool
 
-	// Supervisor counters of the panes rotation retired: their shard
-	// restarts and lost edges, so the window counts them across panes the
-	// way one Parallel counts them across its shards.
-	retiredRestarts uint64
-	retiredLost     uint64
+	// retiredHealth is each shard's supervisor record over the panes
+	// rotation retired, pruned ones included: restarts and lost edges
+	// summed, the latest panic message kept. Health adds the live pane's.
+	retiredHealth []ShardHealth
 
 	met windowMetrics
 }
@@ -86,9 +86,10 @@ type windowPane struct {
 	// query rebuilds the run once that count has moved.
 	run        *core.Run
 	runApplied uint64
-	// degraded records that the pane's engine had lost edges to a lossy
-	// shard recovery when it retired. It is not checkpointed.
-	degraded bool
+	// degraded records, per shard, that the pane's engine had lost edges to
+	// a lossy shard recovery when it retired. It is not checkpointed: a
+	// restored pane has none.
+	degraded []bool
 }
 
 // windowMetrics times each window query's stages. They record
@@ -160,6 +161,7 @@ func NewWindowed(cfg WindowConfig) (*Windowed, error) {
 	// Pin the resolved shard count: later panes must match the first, and
 	// the checkpoint header records the count a restore validates against.
 	w.cfg.Shards = active.Shards()
+	w.retiredHealth = make([]ShardHealth, w.cfg.Shards)
 	return w, nil
 }
 
@@ -181,10 +183,11 @@ func (w *Windowed) openPane(idx uint64) (*Parallel, error) {
 // paneIndex returns the pane a timed edge belongs to.
 func (w *Windowed) paneIndex(ts uint64) uint64 { return ts / w.cfg.PaneWidth }
 
-// ProcessBatch feeds a batch of turnstile records in stream order. Inserts
-// route to the live pane, advancing it first when their event time crosses
-// the pane end; deletion records fan out to every retained pane. Untimed
-// records (TS 0) ride the live pane without advancing the pane clock. Late
+// ProcessBatch feeds a batch of turnstile records in stream order. Records
+// route to the live pane, which an insert advances first when its event
+// time crosses the pane end, so the batch splits only at rotations;
+// deletion records also fan out to every retired pane. Untimed records
+// (TS 0) ride the live pane without advancing the pane clock. Late
 // arrivals — event times behind the live pane — are tolerated: they land in
 // the live pane, and because queries trim by stored event time (not by
 // pane), they still count toward exactly the windows they belong to.
@@ -200,17 +203,13 @@ func (w *Windowed) ProcessBatch(edges []graph.Edge) error {
 			w.horizon = e.TS
 		}
 		if e.Del {
-			// Flush the pending insert run so the live pane sees records in
-			// stream order, then fan the deletion out. The live pane gets it
-			// through its ring (its shard owns the edge if this pane holds
-			// it); frozen panes apply it synchronously — no new inserts race
-			// them, so encounter order is stream order.
-			w.active.ProcessBatch(edges[start:i])
-			start = i + 1
+			// The live pane takes the deletion in its run: grouping keeps
+			// each shard's records in stream order, and the shard that owns
+			// the edge owns its deletion. Frozen panes apply it now — no
+			// inserts race them, so encounter order is stream order.
 			for _, p := range w.retired {
 				p.s.Process(e)
 			}
-			w.active.Process(e)
 			continue
 		}
 		if e.TS != 0 {
@@ -246,9 +245,17 @@ func (w *Windowed) rotateTo(idx uint64) error {
 	if err != nil {
 		return fmt.Errorf("engine: pane %d rotation: %w", w.activeIdx, err)
 	}
-	degraded := w.active.Degraded()
-	w.retiredRestarts += w.active.Restarts()
-	w.retiredLost += w.active.LostEdges()
+	health, _ := w.active.Health()
+	degraded := make([]bool, len(health))
+	for i, h := range health {
+		r := &w.retiredHealth[i]
+		r.Restarts += h.Restarts
+		r.LostEdges += h.LostEdges
+		if h.LastPanic != "" {
+			r.LastPanic = h.LastPanic
+		}
+		degraded[i] = h.Degraded
+	}
 	w.active.Close()
 	w.retired = append(w.retired, windowPane{idx: w.activeIdx, s: frozen, degraded: degraded})
 	w.activeIdx = idx
@@ -352,7 +359,7 @@ func (w *Windowed) mergeWindow(win uint64) (*core.Sampler, WindowEstimates, erro
 			continue // pane entirely out of window
 		}
 		panes = append(panes, p)
-		degraded = degraded || p.degraded
+		degraded = degraded || slices.Contains(p.degraded, true)
 		if applied, _ := p.s.Deletions(); p.run == nil || applied != p.runApplied {
 			stale = append(stale, p)
 		}
@@ -639,14 +646,15 @@ func readWindowedDocument(br *bufio.Reader, resolve func(string) (core.WeightFun
 	weightFn, _ := resolve(weightName)
 	cfg.Weight = weightFn
 	w := &Windowed{
-		cfg:       cfg,
-		active:    active,
-		activeIdx: activeIdx,
-		started:   started,
-		retired:   retired,
-		horizon:   horizon,
-		processed: processed,
-		met:       newWindowMetrics(),
+		cfg:           cfg,
+		active:        active,
+		activeIdx:     activeIdx,
+		started:       started,
+		retired:       retired,
+		horizon:       horizon,
+		processed:     processed,
+		retiredHealth: make([]ShardHealth, shards),
+		met:           newWindowMetrics(),
 	}
 	return w, weightName, nil
 }

@@ -43,39 +43,47 @@ func (w *Windowed) DecayLandmark() (uint64, bool) { return 0, false }
 // to a lossy shard recovery. A pane's flag leaves with the pane when it is
 // pruned.
 func (w *Windowed) Degraded() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.active.Degraded() {
-		return true
-	}
-	for _, p := range w.retired {
-		if p.degraded {
-			return true
-		}
-	}
-	return false
+	_, degraded := w.Health()
+	return degraded
 }
 
-// The telemetry readers below delegate to the live pane. Rotation replaces
-// it, so every call re-fetches through Engine() for one point-in-time read —
-// the same discipline serve's scrapes always followed.
-
-// RingStats reads the live pane's ingest-ring gauges.
+// RingStats reads the live pane's ingest-ring gauges. Rotation replaces the
+// live pane, so every call re-fetches it through Engine().
 func (w *Windowed) RingStats() RingStats { return w.Engine().RingStats() }
 
-// Health reads the live pane's per-shard supervisor health.
-func (w *Windowed) Health() ([]ShardHealth, bool) { return w.Engine().Health() }
+// Health reports each shard's supervisor health across every pane the
+// window has run: the live pane's restarts and lost edges plus those of
+// the panes rotation retired, pruned ones included. A shard is degraded
+// while its live pane's shard or a retained pane's is.
+func (w *Windowed) Health() (shards []ShardHealth, degraded bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	shards, _ = w.active.Health()
+	for i := range shards {
+		h, r := &shards[i], w.retiredHealth[i]
+		h.Restarts += r.Restarts
+		h.LostEdges += r.LostEdges
+		if h.LastPanic == "" {
+			h.LastPanic = r.LastPanic
+		}
+		for _, p := range w.retired {
+			h.Degraded = h.Degraded || i < len(p.degraded) && p.degraded[i]
+		}
+		degraded = degraded || h.Degraded
+	}
+	return shards, degraded
+}
 
 // RegisterMetrics attaches the gps_window_* families: pane rotation
 // replaces the live Parallel, so per-instance engine instruments would go
 // stale mid-run — the window families cover the chain instead, including
 // the window query's stage histograms. The shard supervisor counters keep
-// their gps_engine_* names and count across every pane the window has
-// run; each reads the retired panes' total and the live pane under one hold
-// of the window mutex, so a rotation cannot move a count between them
-// mid-read. The readers take the window mutex briefly (no engine barrier),
-// so scrapes stay cheap. labels (e.g. a stream name) are stamped on every
-// sample.
+// their gps_engine_* names and sum Health over the shards, so they count
+// across every pane the window has run and agree with it; Health reads the
+// retired panes' totals and the live pane under one hold of the window
+// mutex, so a rotation cannot move a count between them mid-read. The
+// readers take the window mutex briefly (no engine barrier), so scrapes
+// stay cheap. labels (e.g. a stream name) are stamped on every sample.
 func (w *Windowed) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 	wc := w.Config()
 	reg.RegisterGaugeFunc("gps_window_width",
@@ -90,18 +98,20 @@ func (w *Windowed) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 	reg.RegisterGaugeFunc("gps_window_horizon",
 		"Largest event time ingested (the horizon window queries end at).",
 		func() float64 { return float64(w.Horizon()) }, labels...)
+	total := func(field func(ShardHealth) uint64) func() uint64 {
+		return func() uint64 {
+			shards, _ := w.Health()
+			var n uint64
+			for _, h := range shards {
+				n += field(h)
+			}
+			return n
+		}
+	}
 	reg.RegisterCounterFunc("gps_engine_shard_restarts_total", helpShardRestarts,
-		func() uint64 {
-			w.mu.Lock()
-			defer w.mu.Unlock()
-			return w.retiredRestarts + w.active.Restarts()
-		}, labels...)
+		total(func(h ShardHealth) uint64 { return h.Restarts }), labels...)
 	reg.RegisterCounterFunc("gps_engine_shard_lost_edges_total", helpShardLostEdges,
-		func() uint64 {
-			w.mu.Lock()
-			defer w.mu.Unlock()
-			return w.retiredLost + w.active.LostEdges()
-		}, labels...)
+		total(func(h ShardHealth) uint64 { return h.LostEdges }), labels...)
 	reg.RegisterHistogram("gps_window_query_lock_seconds",
 		"Window mutex hold per window query (live-pane snapshot and merge), during which ingest into the stream waits.",
 		w.met.lockNS, labels...)

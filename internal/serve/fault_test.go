@@ -447,10 +447,11 @@ func TestServeDegradedFromEngine(t *testing.T) {
 // recovery in a pane flags every window answer that merges that pane
 // degraded, the live pane before its rotation and the retired one after it,
 // and no answer that leaves it out: a ?window= that starts after it, or
-// any query once the pane is pruned. The engine reports itself degraded
-// while it retains the pane. The supervisor counters in /metrics count the
-// recovery across panes: they appear with it and never drop, neither when
-// its pane retires nor when it is pruned.
+// any query once the pane is pruned. The engine and the shard's
+// /v1/stats shard_health report it degraded while the engine retains the
+// pane. The supervisor counters in /metrics count the recovery across
+// panes: they appear with it and never drop, neither when its pane retires
+// nor when it is pruned, and shard_health counts the same.
 func TestServeWindowDegradedFromEngine(t *testing.T) {
 	edges := gen.ErdosRenyi(60, 500, 13)
 	for i := range edges {
@@ -478,10 +479,22 @@ func TestServeWindowDegradedFromEngine(t *testing.T) {
 			t.Fatalf("%s: degraded query counter moved by %g, want %g", step, counted, wantCounted)
 		}
 	}
+	// shardHealth sums the default stream's /v1/stats shard_health.
+	shardHealth := func() (restarts, lost float64, degraded bool) {
+		for _, h := range getStats(t, ts.URL).Streams[0].ShardHealth {
+			restarts += float64(h.Restarts)
+			lost += float64(h.LostEdges)
+			degraded = degraded || h.Degraded
+		}
+		return restarts, lost, degraded
+	}
 	engineDegraded := func(step string, want bool) {
 		t.Helper()
 		if got := srv.def.eng.Degraded(); got != want {
 			t.Fatalf("%s: engine Degraded() = %v, want %v", step, got, want)
+		}
+		if _, _, got := shardHealth(); got != want {
+			t.Fatalf("%s: shard_health degraded = %v, want %v", step, got, want)
 		}
 	}
 	var restarts, lost float64
@@ -495,6 +508,9 @@ func TestServeWindowDegradedFromEngine(t *testing.T) {
 		}
 		if r < restarts || l < lost {
 			t.Fatalf("%s: restarts %g, lost edges %g dropped from %g, %g", step, r, l, restarts, lost)
+		}
+		if hr, hl, _ := shardHealth(); hr != r || hl != l {
+			t.Fatalf("%s: shard_health reads %g restarts, %g lost edges; the counters read %g, %g", step, hr, hl, r, l)
 		}
 		restarts, lost = r, l
 	}

@@ -159,8 +159,8 @@ func (s *Server) registerTenantMetrics(t *tenant) {
 		func() float64 { return float64(t.pendingEdges.Load()) }, l...)
 	s.reg.RegisterGaugeFunc("gps_serve_queue_batches", "Batches waiting in the ingest queue.",
 		func() float64 { return float64(t.pendingBatches.Load()) }, l...)
-	s.reg.RegisterGaugeFunc("gps_serve_queue_capacity", "Ingest queue batch capacity (QueueDepth).",
-		func() float64 { return float64(t.cfg.QueueDepth) }, l...)
+	s.reg.RegisterGaugeFunc("gps_serve_queue_capacity", "Ingest queue batch capacity.",
+		func() float64 { return queueBatches }, l...)
 	s.reg.RegisterCounterFunc("gps_serve_edges_accepted_total",
 		"Edges admitted to the ingest queue (acknowledged with 202).", t.edgesAccepted.Load, l...)
 	s.reg.RegisterCounterFunc("gps_serve_edges_processed_total",

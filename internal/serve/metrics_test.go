@@ -395,9 +395,10 @@ func (b *syncBuffer) String() string {
 
 // TestMetricsScrapeUnderLoad hammers ingest, queries and /metrics scrapes
 // concurrently — the race detector's view of the scrape path — then checks
-// the final scrape still lints and the ingest counters add up.
+// the final scrape still lints and the ingest counters add up. A producer
+// refused with 503 retries after Retry-After, as clients do.
 func TestMetricsScrapeUnderLoad(t *testing.T) {
-	_, ts := newTestServer(t, Config{Capacity: 256, Seed: 2, Shards: 2, QueueDepth: 1024})
+	_, ts := newTestServer(t, Config{Capacity: 256, Seed: 2, Shards: 2})
 
 	const producers, batches, batchEdges = 4, 40, 50
 	var wg sync.WaitGroup
@@ -416,16 +417,28 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 				for _, e := range edges {
 					fmt.Fprintf(&body, "%d %d\n", e.U, e.V)
 				}
-				resp, err := http.Post(ts.URL+"/v1/ingest", "text/plain", &body)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusAccepted {
-					t.Errorf("ingest status = %d", resp.StatusCode)
-					return
+				for {
+					resp, err := http.Post(ts.URL+"/v1/ingest", "text/plain", bytes.NewReader(body.Bytes()))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode == http.StatusServiceUnavailable {
+						secs, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+						if err != nil {
+							t.Errorf("503 with Retry-After %q", resp.Header.Get("Retry-After"))
+							return
+						}
+						time.Sleep(time.Duration(secs) * time.Second)
+						continue
+					}
+					if resp.StatusCode != http.StatusAccepted {
+						t.Errorf("ingest status = %d", resp.StatusCode)
+						return
+					}
+					break
 				}
 			}
 		}(p)

@@ -62,28 +62,26 @@ func (s *Server) liveTenants() []*tenant {
 
 // streamSummary is the JSON shape the registry endpoints answer with.
 type streamSummary struct {
-	Stream     string  `json:"stream"`
-	Capacity   int     `json:"capacity"`
-	Weight     string  `json:"weight"`
-	Shards     int     `json:"shards"`
-	QueueDepth int     `json:"queue_depth"`
-	HalfLife   float64 `json:"half_life,omitempty"`
-	Window     uint64  `json:"window,omitempty"`
-	PaneWidth  uint64  `json:"pane_width,omitempty"`
-	Default    bool    `json:"default,omitempty"`
+	Stream    string  `json:"stream"`
+	Capacity  int     `json:"capacity"`
+	Weight    string  `json:"weight"`
+	Shards    int     `json:"shards"`
+	HalfLife  float64 `json:"half_life,omitempty"`
+	Window    uint64  `json:"window,omitempty"`
+	PaneWidth uint64  `json:"pane_width,omitempty"`
+	Default   bool    `json:"default,omitempty"`
 }
 
 func summarize(t *tenant) streamSummary {
 	return streamSummary{
-		Stream:     t.name,
-		Capacity:   t.cfg.Capacity,
-		Weight:     t.cfg.WeightName,
-		Shards:     t.cfg.Shards,
-		QueueDepth: t.cfg.QueueDepth,
-		HalfLife:   t.cfg.HalfLife,
-		Window:     t.cfg.Window,
-		PaneWidth:  t.cfg.PaneWidth,
-		Default:    t.name == defaultStream,
+		Stream:    t.name,
+		Capacity:  t.cfg.Capacity,
+		Weight:    t.cfg.WeightName,
+		Shards:    t.cfg.Shards,
+		HalfLife:  t.cfg.HalfLife,
+		Window:    t.cfg.Window,
+		PaneWidth: t.cfg.PaneWidth,
+		Default:   t.name == defaultStream,
 	}
 }
 
@@ -149,9 +147,9 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStreamDelete (DELETE /v1/streams/{name}) removes a stream: it is
-// unlinked under the write lock (so no new batch can be admitted), its
-// queue is drained (every 202 already issued still reaches the sampler),
-// and only then are the engine closed and the labeled metrics unregistered.
+// unlinked and its queue closed under the write lock (so no new batch can
+// be admitted), the queue is drained (every 202 already issued still
+// reaches the sampler), and only then is the engine closed.
 func (s *Server) handleStreamDelete(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if name == defaultStream {
@@ -159,6 +157,12 @@ func (s *Server) handleStreamDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.closeMu.Lock()
+	if s.closed.Load() {
+		// Close has already retired every stream and closed its queue.
+		s.closeMu.Unlock()
+		httpError(w, http.StatusServiceUnavailable, "server closed")
+		return
+	}
 	t := s.tenants[name]
 	if t == nil {
 		s.closeMu.Unlock()
@@ -174,8 +178,8 @@ func (s *Server) handleStreamDelete(w http.ResponseWriter, r *http.Request) {
 	for _, l := range t.label {
 		s.reg.Unregister(l)
 	}
+	close(t.queue)
 	s.closeMu.Unlock()
-	close(t.tdone)
 	<-t.loopDone // drain: every acknowledged batch reaches the sampler first
 	t.eng.Close()
 	t.subs.close()

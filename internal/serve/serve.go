@@ -85,14 +85,12 @@ type Config struct {
 	Seed uint64
 	// Shards is the engine shard count; <= 0 means GOMAXPROCS.
 	Shards int
-	// QueueDepth bounds the number of pending ingest batches per stream;
-	// beyond it ingestion requests are rejected with 503. <= 0 means 64.
-	QueueDepth int
-	// MaxPendingEdges bounds the total decoded edges waiting in the queues
-	// (the real memory bound — QueueDepth alone would admit QueueDepth
-	// maximum-size bodies). The budget is shared fair-share across live
-	// streams: each stream may hold MaxPendingEdges / streams, so one
-	// saturating tenant 503s alone. <= 0 means 4M edges (~32 MiB queued).
+	// MaxPendingEdges bounds the total decoded edges waiting in the ingest
+	// queues; beyond it ingestion requests are rejected with 503. The budget
+	// is shared fair-share across live streams: each stream may hold
+	// MaxPendingEdges / streams, so one saturating tenant 503s alone. Each
+	// queue also holds at most 64 batches. <= 0 means 4M edges (~32 MiB
+	// queued).
 	MaxPendingEdges int
 	// MaxBodyBytes caps an ingest request body. <= 0 means 32 MiB.
 	MaxBodyBytes int64
@@ -223,33 +221,17 @@ type ingestItem struct {
 // plus any declared or restored named streams), the per-stream ingest
 // pipelines and the HTTP routes.
 func NewServer(cfg Config) (*Server, error) {
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 64
-	}
 	if cfg.MaxPendingEdges <= 0 {
 		cfg.MaxPendingEdges = 4 << 20
 	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 32 << 20
 	}
-	if cfg.WeightName == "" {
-		cfg.WeightName = "uniform"
-	}
-	if _, err := WeightByName(cfg.WeightName); err != nil {
-		return nil, err
-	}
 	if cfg.CheckpointKeep <= 0 {
 		cfg.CheckpointKeep = 3
 	}
-	if cfg.Window > 0 {
-		if cfg.HalfLife > 0 {
-			return nil, errors.New("serve: -window and -half-life are mutually exclusive (both reweight time)")
-		}
-		if cfg.PaneWidth == 0 {
-			cfg.PaneWidth = cfg.Window
-		}
-	} else if cfg.PaneWidth != 0 {
-		return nil, errors.New("serve: PaneWidth requires Window > 0")
+	if err := resolveStream(&cfg); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	if cfg.CheckpointDir != "" {
 		// Fail at boot, not on the first (possibly periodic and therefore
@@ -293,22 +275,10 @@ func NewServer(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: restore: %w", err)
 		}
-		br := bufio.NewReader(f)
-		kind, err := peekKind(br)
-		if err == nil {
-			if kind == checkpoint.KindMulti {
-				boot, err = restoreMulti(br, cfg)
-			} else {
-				var def *tenant
-				def, err = restoreSingle(br, cfg)
-				if def != nil {
-					boot = []*tenant{def}
-				}
-			}
-		}
+		boot, err = restoreStreams(bufio.NewReader(f), cfg)
 		f.Close()
 		if err != nil {
-			return nil, fmt.Errorf("serve: restore %s: %w", path, err)
+			return fail(fmt.Errorf("serve: restore %s: %w", path, err))
 		}
 		restoredFrom = path
 	} else {
@@ -424,17 +394,16 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // is idempotent.
 func (s *Server) Close() {
 	s.closeMu.Lock()
-	already := !s.closed.CompareAndSwap(false, true)
-	var tenants []*tenant
-	if !already {
-		for _, t := range s.tenants {
-			tenants = append(tenants, t)
-		}
-	}
-	s.closeMu.Unlock()
-	if already {
+	if !s.closed.CompareAndSwap(false, true) {
+		s.closeMu.Unlock()
 		return
 	}
+	tenants := make([]*tenant, 0, len(s.tenants))
+	for _, t := range s.tenants {
+		close(t.queue) // its ingest loop drains what was acknowledged, then exits
+		tenants = append(tenants, t)
+	}
+	s.closeMu.Unlock()
 	close(s.done)
 	s.wg.Wait()
 	for _, t := range tenants {
@@ -456,12 +425,13 @@ func (s *Server) pendingEdgeShare() int64 {
 
 // ingestLoop is the single consumer of one stream's ingest queue: it
 // preserves arrival order and is the only goroutine feeding that sampler.
-// On shutdown or stream deletion it drains everything still queued — all
-// of it was enqueued (and acknowledged) before the flag flipped.
+// Retiring the stream closes the queue under closeMu's write side, after
+// which no producer can send, so the loop processes everything
+// acknowledged before it exits.
 func (s *Server) ingestLoop(t *tenant) {
 	defer s.wg.Done()
 	defer close(t.loopDone)
-	handle := func(it ingestItem) {
+	for it := range t.queue {
 		t.pendingBatches.Add(-1)
 		if len(it.edges) > 0 {
 			// Recover a panic escaping admission (e.g. an injected
@@ -490,28 +460,6 @@ func (s *Server) ingestLoop(t *tenant) {
 		}
 		if it.ack != nil {
 			close(it.ack)
-		}
-	}
-	drain := func() {
-		for {
-			select {
-			case it := <-t.queue:
-				handle(it)
-			default:
-				return
-			}
-		}
-	}
-	for {
-		select {
-		case <-s.done:
-			drain()
-			return
-		case <-t.tdone:
-			drain()
-			return
-		case it := <-t.queue:
-			handle(it)
 		}
 	}
 }
@@ -681,8 +629,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, msg)
 	}
 	if pending > s.pendingEdgeShare() {
-		// Backpressure on queued volume: QueueDepth alone would let
-		// QueueDepth maximum-size bodies sit decoded in memory.
+		// Backpressure on queued volume: the batch bound alone would let
+		// 64 maximum-size bodies sit decoded in memory.
 		reject("ingest queue full (pending edge bound)")
 		return
 	}
@@ -826,9 +774,9 @@ var (
 // checkpoint handlers (a checkpoint must cover every batch acknowledged
 // before it was requested). It follows the closeMu discipline of
 // handleIngest: while the read lock is held, neither Close nor a stream
-// deletion can flip its flag, so a marker admitted here is guaranteed to
-// be consumed (shutdown and deletion both drain the queue) and the pending
-// counter cannot leak.
+// deletion can flip its flag and close the queue, so a marker admitted here
+// is guaranteed to be consumed (the ingest loop drains a closed queue) and
+// the pending counter cannot leak.
 func (s *Server) flushBarrier(ctx context.Context, t *tenant) error {
 	s.closeMu.RLock()
 	if s.closed.Load() {
@@ -852,8 +800,6 @@ func (s *Server) flushBarrier(ctx context.Context, t *tenant) error {
 	select {
 	case <-ack:
 		return nil
-	case <-s.done:
-		return errServerClosed
 	case <-ctx.Done():
 		return ctx.Err()
 	}

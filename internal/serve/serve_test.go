@@ -156,30 +156,23 @@ func TestServeSubgraphEstimate(t *testing.T) {
 	}
 }
 
-// TestServeBackpressure fills the bounded queue (the consumer is wedged
-// behind a slow flush of a huge batch? — no: we simply use a tiny queue and
-// never start draining because the batches pile up faster than one
-// goroutine processes them) and checks overflow turns into 503 with
-// Retry-After rather than blocking or buffering without bound.
+// TestServeBackpressure wedges the ingest loop in its first batch with a
+// one-shot ring-publish delay, overfills the 64-batch queue behind it, and
+// checks overflow turns into 503 with Retry-After rather than blocking or
+// buffering without bound — and that every batch acknowledged with 202
+// still reaches the sampler once the loop resumes.
 func TestServeBackpressure(t *testing.T) {
-	s, err := NewServer(Config{Capacity: 1000, Seed: 3, QueueDepth: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wedge the consumer: stop the ingest loop by closing done while
-	// keeping the HTTP surface alive, so every enqueue stays pending.
-	close(s.done)
-	s.wg.Wait()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	defer s.def.eng.Close()
+	_, ts := newTestServer(t, Config{Capacity: 1000, Seed: 3})
+	armServeFaults(t, 1, "engine.ring.publish:latency:delay=1s,times=1")
 
 	edges := gen.ErdosRenyi(50, 100, 1)
+	accepted := 0
 	got503 := false
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 3*queueBatches && !got503; i++ {
 		resp := postEdges(t, ts.URL, edges, true)
 		switch resp.StatusCode {
 		case http.StatusAccepted:
+			accepted++
 		case http.StatusServiceUnavailable:
 			got503 = true
 			if resp.Header.Get("Retry-After") == "" {
@@ -191,23 +184,22 @@ func TestServeBackpressure(t *testing.T) {
 		resp.Body.Close()
 	}
 	if !got503 {
-		t.Fatal("queue depth 2 never produced a 503 after 5 batches")
+		t.Fatalf("a wedged queue of %d batches never produced a 503 after %d batches", queueBatches, 3*queueBatches)
+	}
+	if accepted < queueBatches {
+		t.Fatalf("503 after %d accepted batches, want at least the %d the queue holds", accepted, queueBatches)
+	}
+	flush(t, ts.URL)
+	scrape := scrapeMetrics(t, ts.URL)
+	if got, _ := metricValue(scrape, "gps_serve_edges_processed_total"); got != float64(accepted*len(edges)) {
+		t.Fatalf("edges processed %g, want the %d accepted", got, accepted*len(edges))
 	}
 }
 
 // TestServePendingEdgeBound checks the volume-based backpressure: a tiny
 // MaxPendingEdges rejects a batch even when the batch-count queue has room.
 func TestServePendingEdgeBound(t *testing.T) {
-	s, err := NewServer(Config{Capacity: 1000, Seed: 3, QueueDepth: 64, MaxPendingEdges: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	close(s.done) // wedge the consumer so pending edges accumulate
-	s.wg.Wait()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	defer s.def.eng.Close()
-
+	_, ts := newTestServer(t, Config{Capacity: 1000, Seed: 3, MaxPendingEdges: 50})
 	resp := postEdges(t, ts.URL, gen.ErdosRenyi(50, 100, 1), true)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {

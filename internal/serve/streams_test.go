@@ -101,10 +101,11 @@ func deleteStream(t *testing.T, base, name string) *http.Response {
 
 // TestStreamRegistryLifecycle drives the registry end to end over HTTP:
 // create, list, per-stream ingest/flush/estimate isolation, delete, 404
-// after delete, and re-creation under the same name (which would panic on
-// duplicate metric registration if deletion leaked labeled samples).
+// after delete, re-creation under the same name (which would panic on
+// duplicate metric registration if deletion leaked labeled samples), and
+// a deletion after shutdown.
 func TestStreamRegistryLifecycle(t *testing.T) {
-	_, ts := newTestServer(t, Config{Capacity: 1000, Seed: 3})
+	s, ts := newTestServer(t, Config{Capacity: 1000, Seed: 3})
 
 	resp := createStream(t, ts.URL, "alpha", `{"capacity": 500, "seed": 11}`)
 	if resp.StatusCode != http.StatusCreated {
@@ -218,6 +219,14 @@ func TestStreamRegistryLifecycle(t *testing.T) {
 	if est := estimateStream(t, ts.URL, "alpha", "?max_stale=0"); est.Arrivals != 0 {
 		t.Fatalf("re-created stream carries %d arrivals, want 0", est.Arrivals)
 	}
+
+	// Close retires every stream, so a deletion after it answers 503.
+	s.Close()
+	if resp := deleteStream(t, ts.URL, "alpha"); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("delete after Close: %d, want 503", resp.StatusCode)
+	} else {
+		resp.Body.Close()
+	}
 }
 
 func distinctCount(edges []graph.Edge) int {
@@ -288,6 +297,56 @@ func TestStreamFairShareAdmission(t *testing.T) {
 		t.Fatalf("post-delete batch: %d %s (share=%d)", resp.StatusCode, b, s.pendingEdgeShare())
 	}
 	resp.Body.Close()
+}
+
+// TestStreamTimeModelCheck feeds each time model through both entry
+// points, NewServer's default stream and POST /v1/streams/{name}, and
+// requires the same verdict from each, and the same resolved time model
+// where both accept it.
+func TestStreamTimeModelCheck(t *testing.T) {
+	_, ts := newTestServer(t, Config{Capacity: 100, Seed: 3})
+	for i, c := range []struct {
+		name         string
+		window, pane uint64
+		halfLife     float64
+		ok           bool
+		wantPane     uint64 // resolved pane width when ok
+	}{
+		{name: "window with half-life", window: 100, halfLife: 10},
+		{name: "pane without window", pane: 10},
+		{name: "window narrower than pane", window: 10, pane: 20},
+		{name: "pane 0 defaults to the window", window: 100, ok: true, wantPane: 100},
+	} {
+		s, err := NewServer(Config{Capacity: 100, Seed: 3, Window: c.window, PaneWidth: c.pane, HalfLife: c.halfLife})
+		if (err == nil) != c.ok {
+			t.Fatalf("%s: NewServer error %v, want ok=%v", c.name, err, c.ok)
+		}
+		if err == nil {
+			eff := s.EffectiveConfig()
+			s.Close()
+			if eff.Window != c.window || eff.PaneWidth != c.wantPane || eff.HalfLife != c.halfLife {
+				t.Fatalf("%s: NewServer resolved window %d pane %d half-life %g", c.name, eff.Window, eff.PaneWidth, eff.HalfLife)
+			}
+		}
+		spec, _ := json.Marshal(StreamSpec{Window: c.window, PaneWidth: c.pane, HalfLife: c.halfLife})
+		resp := createStream(t, ts.URL, fmt.Sprintf("s%d", i), string(spec))
+		if resp.StatusCode != http.StatusCreated {
+			b, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if c.ok || resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s: create %d %s, want ok=%v", c.name, resp.StatusCode, b, c.ok)
+			}
+			continue
+		}
+		if !c.ok {
+			resp.Body.Close()
+			t.Fatalf("%s: create accepted a time model NewServer refused", c.name)
+		}
+		sum := decodeJSON[streamSummary](t, resp)
+		if sum.Window != c.window || sum.PaneWidth != c.wantPane || sum.HalfLife != c.halfLife {
+			t.Fatalf("%s: created stream resolved window %d pane %d half-life %g", c.name, sum.Window, sum.PaneWidth, sum.HalfLife)
+		}
+	}
 }
 
 // TestStreamConcurrentLifecycle hammers create/ingest/query/delete from

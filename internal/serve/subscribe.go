@@ -175,8 +175,6 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			return
 		case <-s.done:
 			return
-		case <-t.tdone:
-			return
 		case sn := <-ch:
 			if sn == nil {
 				return // hub closed: the stream was deleted

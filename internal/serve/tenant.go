@@ -33,16 +33,20 @@ const maxCheckpointStreams = 1 << 10
 // defaults; setting window or half_life replaces the server's time model
 // for this stream outright instead of mixing with it.
 type StreamSpec struct {
-	Name       string  `json:"name"`
-	Capacity   int     `json:"capacity,omitempty"`
-	Weight     string  `json:"weight,omitempty"`
-	Seed       uint64  `json:"seed,omitempty"`
-	Shards     int     `json:"shards,omitempty"`
-	HalfLife   float64 `json:"half_life,omitempty"`
-	Window     uint64  `json:"window,omitempty"`
-	PaneWidth  uint64  `json:"pane_width,omitempty"`
-	QueueDepth int     `json:"queue_depth,omitempty"`
+	Name      string  `json:"name"`
+	Capacity  int     `json:"capacity,omitempty"`
+	Weight    string  `json:"weight,omitempty"`
+	Seed      uint64  `json:"seed,omitempty"`
+	Shards    int     `json:"shards,omitempty"`
+	HalfLife  float64 `json:"half_life,omitempty"`
+	Window    uint64  `json:"window,omitempty"`
+	PaneWidth uint64  `json:"pane_width,omitempty"`
 }
+
+// queueBatches bounds each stream's ingest queue in batches. Decoded edges
+// are bounded by the MaxPendingEdges share; the batch bound only caps how
+// many small bodies can wait behind a slow sampler, so it is a constant.
+const queueBatches = 64
 
 // tenant is one named stream: its engine, its ingest queue and loop, its
 // snapshot cache and SSE hub, and every per-stream counter the handlers and
@@ -59,8 +63,10 @@ type tenant struct {
 	snaps *snapshotCache
 	subs  *subHub
 
+	// queue is closed under closeMu's write side when the stream is retired
+	// (deleted, or the server closed); producers check deleted and the
+	// server's closed flag under the read side before they send.
 	queue    chan ingestItem
-	tdone    chan struct{} // closed when the stream is deleted
 	loopDone chan struct{} // closed when the ingest loop has drained and exited
 	deleted  atomic.Bool
 
@@ -109,8 +115,7 @@ func newTenantState(name string, cfg Config, eng engine.Stream, restoredPosition
 		cfg:              cfg,
 		eng:              eng,
 		subs:             newSubHub(),
-		queue:            make(chan ingestItem, cfg.QueueDepth),
-		tdone:            make(chan struct{}),
+		queue:            make(chan ingestItem, queueBatches),
 		loopDone:         make(chan struct{}),
 		seqSeen:          make(map[string]uint64),
 		restoredPosition: restoredPosition,
@@ -134,9 +139,35 @@ func newTenantState(name string, cfg Config, eng engine.Stream, restoredPosition
 	return t
 }
 
+// resolveStream checks one stream's effective config and fills its
+// defaults: the one check behind the default stream (NewServer) and every
+// named one (streamConfig). A window and a half-life both reweight time, so
+// they exclude each other; a pane width needs a window and defaults to it.
+// The engines check their own geometry (a window narrower than its pane).
+func resolveStream(cfg *Config) error {
+	if cfg.WeightName == "" {
+		cfg.WeightName = "uniform"
+	}
+	if _, err := core.ResolveWeight(cfg.WeightName); err != nil {
+		return err
+	}
+	if cfg.Window == 0 {
+		if cfg.PaneWidth != 0 {
+			return errors.New("a pane width requires a window")
+		}
+		return nil
+	}
+	if cfg.HalfLife > 0 {
+		return errors.New("window and half-life are mutually exclusive (both reweight time)")
+	}
+	if cfg.PaneWidth == 0 {
+		cfg.PaneWidth = cfg.Window
+	}
+	return nil
+}
+
 // streamConfig resolves a StreamSpec against the server's defaults into the
-// effective per-stream Config, validating the same invariants NewServer
-// enforces for the default stream.
+// effective per-stream Config.
 func (s *Server) streamConfig(spec StreamSpec) (Config, error) {
 	cfg := s.cfg
 	cfg.Streams = nil
@@ -145,9 +176,6 @@ func (s *Server) streamConfig(spec StreamSpec) (Config, error) {
 		cfg.Capacity = spec.Capacity
 	}
 	if spec.Weight != "" {
-		if _, err := WeightByName(spec.Weight); err != nil {
-			return Config{}, fmt.Errorf("stream %q: %w", spec.Name, err)
-		}
 		cfg.WeightName = spec.Weight
 	}
 	if spec.Seed != 0 {
@@ -156,23 +184,13 @@ func (s *Server) streamConfig(spec StreamSpec) (Config, error) {
 	if spec.Shards > 0 {
 		cfg.Shards = spec.Shards
 	}
-	if spec.QueueDepth > 0 {
-		cfg.QueueDepth = spec.QueueDepth
-	}
 	if spec.Window > 0 || spec.HalfLife > 0 || spec.PaneWidth > 0 {
 		// The spec names a time model: it replaces the server's default one
 		// wholesale (half-life and window would otherwise leak across).
 		cfg.Window, cfg.PaneWidth, cfg.HalfLife = spec.Window, spec.PaneWidth, spec.HalfLife
 	}
-	if cfg.Window > 0 {
-		if cfg.HalfLife > 0 {
-			return Config{}, fmt.Errorf("stream %q: window and half_life are mutually exclusive (both reweight time)", spec.Name)
-		}
-		if cfg.PaneWidth == 0 {
-			cfg.PaneWidth = cfg.Window
-		}
-	} else if cfg.PaneWidth != 0 {
-		return Config{}, fmt.Errorf("stream %q: pane_width requires window > 0", spec.Name)
+	if err := resolveStream(&cfg); err != nil {
+		return Config{}, fmt.Errorf("stream %q: %w", spec.Name, err)
 	}
 	return cfg, nil
 }
@@ -215,139 +233,106 @@ func newTenant(name string, cfg Config) (*tenant, error) {
 	return newTenantState(name, cfg, eng, 0), nil
 }
 
-// peekKind sniffs the GPSC document kind without consuming the reader, so
-// restore can dispatch between the single-stream readers and the
-// multi-stream container while the full header stays in place for them.
-func peekKind(br *bufio.Reader) (byte, error) {
+// restoreStreams restores every stream a checkpoint holds. A KindMulti
+// container is a Version3 directory document naming each stream and its
+// document kind, followed by the streams' documents back to back. Any other
+// document is the default stream alone, read as the kind the server's
+// -window implies rather than the kind the file claims, so restoring a
+// plain engine document into a -window server fails loudly instead of
+// silently changing the time model. Either way the last document must end
+// the reader. On failure the streams already restored are returned with
+// the error, for the caller to close.
+func restoreStreams(br *bufio.Reader, base Config) ([]*tenant, error) {
 	hdr, err := br.Peek(6) // "GPSC" + version + kind
 	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return 0, fmt.Errorf("checkpoint: %w", err)
+		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	return hdr[5], nil
+	type streamDoc struct {
+		name string
+		kind byte
+	}
+	docs := []streamDoc{{defaultStream, checkpoint.KindEngine}}
+	if base.Window > 0 {
+		docs[0].kind = checkpoint.KindWindow
+	}
+	if hdr[5] == checkpoint.KindMulti {
+		r := checkpoint.NewReader(br)
+		if err := r.ExpectKind(checkpoint.KindMulti); err != nil {
+			return nil, err
+		}
+		n := r.Count("stream", maxCheckpointStreams)
+		docs = make([]streamDoc, 0, n)
+		seen := make(map[string]bool, n)
+		for i := 0; i < n; i++ {
+			d := streamDoc{name: r.String(), kind: byte(r.Uvarint())}
+			if r.Err() != nil {
+				return nil, r.Err()
+			}
+			if !validStreamName(d.name) {
+				return nil, fmt.Errorf("checkpoint: multi-stream directory names invalid stream %q", d.name)
+			}
+			if seen[d.name] {
+				return nil, fmt.Errorf("checkpoint: multi-stream directory lists stream %q twice", d.name)
+			}
+			seen[d.name] = true
+			docs = append(docs, d)
+		}
+		if err := r.Finish(); err != nil {
+			return nil, err
+		}
+	}
+	tenants := make([]*tenant, 0, len(docs))
+	for _, d := range docs {
+		t, err := restoreTenant(br, d.name, d.kind, base)
+		if err != nil {
+			return tenants, fmt.Errorf("stream %q: %w", d.name, err)
+		}
+		tenants = append(tenants, t)
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		return tenants, fmt.Errorf("checkpoint: trailing bytes after %d stream documents", len(tenants))
+	}
+	return tenants, nil
 }
 
-// restoreSingle restores a single-stream checkpoint into the default
-// tenant, preserving the pre-registry dispatch: the server's configured
-// time model (not the file) picks the reader, so restoring a plain engine
-// document into a -window server fails loudly instead of silently changing
-// the time model. The checkpoint's configuration wins — restored reservoirs
-// are only meaningful under the capacity/weight/shards (and decay/window
-// geometry) they were taken with.
-func restoreSingle(br *bufio.Reader, cfg Config) (*tenant, error) {
+// restoreTenant reads one stream document of the given kind and builds its
+// tenant. The document's configuration replaces base's engine fields —
+// restored reservoirs are only meaningful under the capacity, weight,
+// shards and time model they were taken with — and base supplies the
+// server-wide fields every stream shares.
+func restoreTenant(br *bufio.Reader, name string, kind byte, base Config) (*tenant, error) {
+	cfg := base
+	cfg.Streams, cfg.RestoreFrom = nil, ""
+	cfg.HalfLife, cfg.Window, cfg.PaneWidth = 0, 0, 0
 	var (
-		eng        engine.Stream
-		weightName string
-		position   uint64
-		err        error
+		eng      engine.Stream
+		position uint64
 	)
-	if cfg.Window > 0 {
-		var win *engine.Windowed
-		win, weightName, err = engine.ReadWindowedCheckpoint(br, WeightByName)
+	switch kind {
+	case checkpoint.KindEngine:
+		par, weightName, err := engine.ReadParallelDocument(br, WeightByName)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Capacity, cfg.Shards, cfg.WeightName = par.Capacity(), par.Shards(), weightName
+		cfg.HalfLife = par.Decay().HalfLife
+		eng, position = par, par.Processed()
+	case checkpoint.KindWindow:
+		win, weightName, err := engine.ReadWindowedDocument(br, WeightByName)
 		if err != nil {
 			return nil, err
 		}
 		wc := win.Config()
-		cfg.Capacity = wc.Capacity
-		cfg.Shards = wc.Shards
-		cfg.Seed = wc.Seed
-		cfg.Window = wc.Window
-		cfg.PaneWidth = wc.PaneWidth
-		position = win.Processed()
-		eng = win
-	} else {
-		var par *engine.Parallel
-		par, weightName, err = engine.ReadParallelCheckpoint(br, WeightByName)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Capacity = par.Capacity()
-		cfg.Shards = par.Shards()
-		cfg.HalfLife = par.Decay().HalfLife
-		position = par.Processed()
-		eng = par
+		cfg.Capacity, cfg.Shards, cfg.WeightName = wc.Capacity, wc.Shards, weightName
+		cfg.Seed, cfg.Window, cfg.PaneWidth = wc.Seed, wc.Window, wc.PaneWidth
+		eng, position = win, win.Processed()
+	default:
+		return nil, fmt.Errorf("checkpoint: unknown stream document kind %#x", kind)
 	}
-	cfg.WeightName = weightName
-	return newTenantState(defaultStream, cfg, eng, position), nil
-}
-
-// restoreMulti restores a KindMulti container: a Version3 directory
-// document naming each stream and its engine kind, followed by the streams'
-// ordinary engine/window documents back to back on the same reader. Each
-// stream's configuration is recovered from its own document, exactly as a
-// single-stream restore would; base supplies the server-wide fields
-// (queue depth, body limits) every tenant shares.
-func restoreMulti(br *bufio.Reader, base Config) ([]*tenant, error) {
-	r := checkpoint.NewReader(br)
-	if err := r.ExpectKind(checkpoint.KindMulti); err != nil {
-		return nil, err
-	}
-	n := r.Count("stream", maxCheckpointStreams)
-	type entry struct {
-		name string
-		kind byte
-	}
-	entries := make([]entry, 0, n)
-	seen := make(map[string]bool, n)
-	for i := 0; i < n; i++ {
-		name := r.String()
-		kind := byte(r.Uvarint())
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		if !validStreamName(name) {
-			return nil, fmt.Errorf("checkpoint: multi-stream directory names invalid stream %q", name)
-		}
-		if seen[name] {
-			return nil, fmt.Errorf("checkpoint: multi-stream directory lists stream %q twice", name)
-		}
-		seen[name] = true
-		entries = append(entries, entry{name, kind})
-	}
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	tenants := make([]*tenant, 0, len(entries))
-	for _, e := range entries {
-		cfg := base
-		cfg.Streams = nil
-		cfg.RestoreFrom = ""
-		switch e.kind {
-		case checkpoint.KindEngine:
-			par, weightName, err := engine.ReadParallelDocument(br, WeightByName)
-			if err != nil {
-				return nil, fmt.Errorf("stream %q: %w", e.name, err)
-			}
-			cfg.Capacity = par.Capacity()
-			cfg.Shards = par.Shards()
-			cfg.HalfLife = par.Decay().HalfLife
-			cfg.Window, cfg.PaneWidth = 0, 0
-			cfg.WeightName = weightName
-			tenants = append(tenants, newTenantState(e.name, cfg, par, par.Processed()))
-		case checkpoint.KindWindow:
-			win, weightName, err := engine.ReadWindowedDocument(br, WeightByName)
-			if err != nil {
-				return nil, fmt.Errorf("stream %q: %w", e.name, err)
-			}
-			wc := win.Config()
-			cfg.Capacity = wc.Capacity
-			cfg.Shards = wc.Shards
-			cfg.Seed = wc.Seed
-			cfg.Window = wc.Window
-			cfg.PaneWidth = wc.PaneWidth
-			cfg.HalfLife = 0
-			cfg.WeightName = weightName
-			tenants = append(tenants, newTenantState(e.name, cfg, win, win.Processed()))
-		default:
-			return nil, fmt.Errorf("checkpoint: multi-stream directory lists stream %q with unknown kind %#x", e.name, e.kind)
-		}
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("checkpoint: trailing bytes after %d stream documents", len(tenants))
-	}
-	return tenants, nil
+	return newTenantState(name, cfg, eng, position), nil
 }
 
 // writeMultiCheckpoint serializes several streams as one KindMulti
