@@ -26,7 +26,9 @@ import (
 //	heap     uvarint arenaLen
 //	         arenaLen × { u32 U, u32 V, [v2 or v3-timed: uvarint eventTS,]
 //	                      f64 weight, f64 priority,
-//	                      f64 triCov, f64 wedgeCov }   (freed slots zeroed)
+//	                      f64 triCov, f64 wedgeCov }   (freed slots zeroed;
+//	                      the covariance words come from an in-stream
+//	                      estimator's slot table and are zero otherwise)
 //	         uvarint freedLen,  freedLen × uvarint slot
 //	         uvarint heapLen,   heapLen  × uvarint slot (heap order)
 //	adjacency
@@ -56,6 +58,12 @@ import (
 // document with nothing a v2 could not carry is rejected — one serialized
 // form per state.
 //
+// The sampler payload is the same in both document kinds. An in-stream
+// estimator fills each live slot's two covariance words from its slot table
+// and a restore refills the table from them; a plain sampler writes zeros,
+// and reading a plain-sampler document checks the words (finite, zero at
+// freed slots) and discards them.
+//
 // The in-stream payload (KindInStream) appends a stream-binding string —
 // an opaque, caller-interpreted description of the stream being resumed
 // (file identity, ordering flags), which the restoring caller compares
@@ -76,7 +84,7 @@ import (
 // durable; callers must reject them before checkpointing.
 func (s *Sampler) WriteCheckpoint(w io.Writer, weightName string) error {
 	cw := checkpoint.NewWriterVersion(w, checkpoint.KindSampler, s.ckptVersion())
-	s.encodePayload(cw, weightName)
+	s.encodePayload(cw, weightName, nil)
 	return cw.Finish()
 }
 
@@ -118,7 +126,10 @@ const (
 	ckptFlagTimed     = 1 << 2
 )
 
-func (s *Sampler) encodePayload(cw *checkpoint.Writer, weightName string) {
+// encodePayload writes the sampler payload. recs is an in-stream
+// estimator's per-edge table, the source of each live slot's two
+// covariance words; a plain sampler passes nil and writes zeros.
+func (s *Sampler) encodePayload(cw *checkpoint.Writer, weightName string, recs []inRec) {
 	decayed := s.lambda > 0
 	cw.Uvarint(uint64(s.capacity))
 	cw.Uvarint(s.arrivals)
@@ -168,9 +179,11 @@ func (s *Sampler) encodePayload(cw *checkpoint.Writer, weightName string) {
 	}
 	cw.Uvarint(uint64(len(arena)))
 	for slot := range arena {
-		ent := &arena[slot]
+		ent, rec := &arena[slot], inRec{}
 		if isFreedSlot[slot] {
 			ent = &order.Entry{} // normalize: freed slots hold eviction garbage
+		} else if recs != nil {
+			rec = recs[slot]
 		}
 		cw.U32(uint32(ent.Edge.U))
 		cw.U32(uint32(ent.Edge.V))
@@ -179,8 +192,8 @@ func (s *Sampler) encodePayload(cw *checkpoint.Writer, weightName string) {
 		}
 		cw.F64(ent.Weight)
 		cw.F64(ent.Priority)
-		cw.F64(ent.TriCov)
-		cw.F64(ent.WedgeCov)
+		cw.F64(rec.triCov)
+		cw.F64(rec.wedgeCov)
 	}
 	cw.Uvarint(uint64(len(freed)))
 	for _, slot := range freed {
@@ -226,7 +239,7 @@ func ReadCheckpoint(r io.Reader, resolve func(string) (WeightFunc, error)) (*Sam
 	if err := cr.ExpectKind(checkpoint.KindSampler); err != nil {
 		return nil, err
 	}
-	s, err := decodePayload(cr, resolve)
+	s, err := decodePayload(cr, resolve, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -238,7 +251,11 @@ func ReadCheckpoint(r io.Reader, resolve func(string) (WeightFunc, error)) (*Sam
 
 const maxInt32 = (1 << 31) - 1
 
-func decodePayload(cr *checkpoint.Reader, resolve func(string) (WeightFunc, error)) (*Sampler, error) {
+// decodePayload reads a sampler payload. Each slot's two covariance words
+// must be finite, and zero at a freed slot; with table non-nil they fill
+// it, with each slot's weight, as an in-stream estimator's per-edge table.
+// A plain-sampler restore passes nil and discards them.
+func decodePayload(cr *checkpoint.Reader, resolve func(string) (WeightFunc, error), table *[]inRec) (*Sampler, error) {
 	if resolve == nil {
 		resolve = ResolveWeight
 	}
@@ -338,6 +355,10 @@ func decodePayload(cr *checkpoint.Reader, resolve func(string) (WeightFunc, erro
 
 	arenaLen := cr.Count("arena", maxInt32)
 	arena := make([]order.Entry, 0, min(arenaLen, 1<<14))
+	var recs []inRec
+	if table != nil {
+		recs = make([]inRec, 0, min(arenaLen, 1<<14))
+	}
 	sawTS := false
 	for i := 0; i < arenaLen; i++ {
 		var ent order.Entry
@@ -353,12 +374,19 @@ func decodePayload(cr *checkpoint.Reader, resolve func(string) (WeightFunc, erro
 		}
 		ent.Weight = cr.F64()
 		ent.Priority = cr.F64()
-		ent.TriCov = cr.F64()
-		ent.WedgeCov = cr.F64()
+		rec := inRec{w: ent.Weight,
+			triCov: cr.FiniteF64("triangle covariance accumulator"), wedgeCov: cr.FiniteF64("wedge covariance accumulator")}
 		if cr.Err() != nil {
 			return nil, cr.Err()
 		}
+		// RestoreHeap requires exactly the freed slots' entries to be zero.
+		if ent == (order.Entry{}) && (rec.triCov != 0 || rec.wedgeCov != 0) {
+			return nil, fmt.Errorf("core: checkpoint freed slot %d holds covariance accumulators", i)
+		}
 		arena = append(arena, ent)
+		if table != nil {
+			recs = append(recs, rec)
+		}
 	}
 	if timed && !sawTS {
 		return nil, fmt.Errorf("core: version-3 checkpoint timed flag without any timed entry")
@@ -389,6 +417,9 @@ func decodePayload(cr *checkpoint.Reader, resolve func(string) (WeightFunc, erro
 	heap, err := order.RestoreHeap(arena, freedSlots, heapOrder)
 	if err != nil {
 		return nil, err
+	}
+	if table != nil {
+		*table = recs
 	}
 
 	denseLen := cr.Count("dense table", maxInt32)
@@ -466,16 +497,18 @@ func decodePayload(cr *checkpoint.Reader, resolve func(string) (WeightFunc, erro
 
 // WriteCheckpoint serializes the in-stream estimator: its sampler payload,
 // a stream binding, and the five running totals of Algorithm 3. The
-// per-edge covariance accumulators C̃_k already live in the heap entries,
-// so the sampler payload carries them. streamBinding is an opaque string
-// describing the stream being consumed (source identity, ordering flags);
-// a resuming caller gets it back from ReadInStreamCheckpoint and must
-// refuse to replay a stream with a different binding — skipping the
-// checkpointed prefix of a *differently ordered* stream would silently
-// produce estimates over a stream the checkpoint was never taken from.
+// sampler payload's two covariance words per slot carry the per-edge
+// accumulators C̃_k from the estimator's slot table (a plain sampler
+// writes zeros there), so the payload has the plain sampler's layout.
+// streamBinding is an opaque string describing the stream being consumed
+// (source identity, ordering flags); a resuming caller gets it back from
+// ReadInStreamCheckpoint and must refuse to replay a stream with a
+// different binding — skipping the checkpointed prefix of a *differently
+// ordered* stream would silently produce estimates over a stream the
+// checkpoint was never taken from.
 func (t *InStream) WriteCheckpoint(w io.Writer, weightName, streamBinding string) error {
 	cw := checkpoint.NewWriterVersion(w, checkpoint.KindInStream, t.s.ckptVersion())
-	t.s.encodePayload(cw, weightName)
+	t.s.encodePayload(cw, weightName, t.recs)
 	cw.String(streamBinding)
 	cw.F64(t.nTri)
 	cw.F64(t.vTri)
@@ -496,13 +529,15 @@ func ReadInStreamCheckpoint(r io.Reader, resolve func(string) (WeightFunc, error
 	if err := cr.ExpectKind(checkpoint.KindInStream); err != nil {
 		return nil, "", err
 	}
-	s, err := decodePayload(cr, resolve)
+	var recs []inRec
+	s, err := decodePayload(cr, resolve, &recs)
 	if err != nil {
 		return nil, "", err
 	}
 	binding := cr.String()
 	t := &InStream{
-		s: s,
+		s:    s,
+		recs: recs,
 		// The restored weight resolves to the same function the original
 		// ran, so the fused-TriangleWeight classification survives restarts.
 		fuseTri: fusesTriangleWeight(s.weight),

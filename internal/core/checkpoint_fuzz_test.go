@@ -106,6 +106,22 @@ func FuzzCheckpointDecoder(f *testing.F) {
 	addTurnstile(nil, "uniform")
 	addTurnstile(TriangleWeight, "triangle")
 
+	// A churned turnstile in-stream document at m = 12: deletions and
+	// evictions have freed and reused nearly every slot, so the decoder
+	// fills the estimator's table over reused slots.
+	churned, err := NewInStream(Config{Capacity: 12, Weight: TriangleWeight, Seed: 11})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, e := range withDeletions(edges) {
+		churned.Process(e)
+	}
+	var buf bytes.Buffer
+	if err := churned.WriteCheckpoint(&buf, "triangle", "fuzz-seed-churned"); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+
 	f.Fuzz(func(t *testing.T, input []byte) {
 		if s, err := ReadCheckpoint(bytes.NewReader(input), nil); err == nil {
 			roundTripSampler(t, s)

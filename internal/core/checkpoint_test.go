@@ -2,8 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"math"
+	"slices"
 	"testing"
 
+	"gps/internal/checkpoint"
 	"gps/internal/graph"
 )
 
@@ -179,4 +184,115 @@ func TestCheckpointWeightResolution(t *testing.T) {
 	if _, _, err := ReadInStreamCheckpoint(bytes.NewReader(checkpointBytes(t, s, "")), nil); err == nil {
 		t.Fatal("sampler document accepted as in-stream")
 	}
+}
+
+// TestCheckpointCovarianceWords pins the decoder's checks on the sampler
+// payload's two covariance words per slot, which carry an in-stream
+// estimator's per-edge accumulators: they must be finite, and zero at a
+// freed slot, in either document kind. A plain-sampler document with
+// nonzero words (what an InStream's Sampler() wrote in earlier releases)
+// still restores: the words are checked and discarded.
+func TestCheckpointCovarianceWords(t *testing.T) {
+	est, err := NewInStream(Config{Capacity: 12, Weight: TriangleWeight, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range goldenStream()[:400] {
+		est.Process(e)
+	}
+	_, freed, heapOrder := est.s.res.heap.ExportState()
+	if len(freed) == 0 {
+		t.Fatal("no freed slot to test")
+	}
+	live, gone := heapOrder[0], freed[0]
+	// docs writes the in-stream document and the plain-sampler document of
+	// the estimator with the given table, restoring the table afterwards.
+	docs := func(recs []inRec) (inStream, plain []byte) {
+		saved := est.recs
+		est.recs = recs
+		defer func() { est.recs = saved }()
+		var a, b bytes.Buffer
+		if err := est.WriteCheckpoint(&a, "triangle", ""); err != nil {
+			t.Fatal(err)
+		}
+		cw := checkpoint.NewWriterVersion(&b, checkpoint.KindSampler, est.s.ckptVersion())
+		est.s.encodePayload(cw, "triangle", recs)
+		if err := cw.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		return a.Bytes(), b.Bytes()
+	}
+	with := func(set func(r []inRec)) []inRec {
+		r := slices.Clone(est.recs)
+		set(r)
+		return r
+	}
+	// atFreedSlot writes a covariance word at the freed slot, which the
+	// encoder always zeroes, by patching the document: records are 40
+	// bytes in this layout, and a marker locates the live slot's record.
+	atFreedSlot := func(doc []byte, marker float64) []byte {
+		var word [8]byte
+		binary.LittleEndian.PutUint64(word[:], math.Float64bits(marker))
+		at := bytes.Index(doc, word[:])
+		if at < 0 || bytes.Count(doc, word[:]) != 1 {
+			t.Fatal("marker not found once in the document")
+		}
+		at += 40 * int(gone-live) // the freed slot's triangle word
+		if !bytes.Equal(doc[at-24:at+16], make([]byte, 40)) {
+			t.Fatal("the freed slot's record is not where the layout puts it")
+		}
+		doc = slices.Clone(doc)
+		binary.LittleEndian.PutUint64(doc[at:], math.Float64bits(0.5))
+		binary.LittleEndian.PutUint32(doc[len(doc)-4:], crc32.ChecksumIEEE(doc[:len(doc)-4]))
+		return doc
+	}
+	const marker = 0x1.23456789abcdep-3
+	markedIn, markedPlain := docs(with(func(r []inRec) { r[live].triCov = marker }))
+	infIn, infPlain := docs(with(func(r []inRec) { r[live].triCov = math.Inf(1) }))
+	nanIn, nanPlain := docs(with(func(r []inRec) { r[live].wedgeCov = math.NaN() }))
+	readIn := func(doc []byte) error {
+		_, _, err := ReadInStreamCheckpoint(bytes.NewReader(doc), nil)
+		return err
+	}
+	readPlain := func(doc []byte) error {
+		_, err := ReadCheckpoint(bytes.NewReader(doc), nil)
+		return err
+	}
+	for _, c := range []struct {
+		name string
+		doc  []byte
+		read func([]byte) error
+	}{
+		{"infinite covariance/instream", infIn, readIn},
+		{"infinite covariance/sampler", infPlain, readPlain},
+		{"NaN covariance/instream", nanIn, readIn},
+		{"NaN covariance/sampler", nanPlain, readPlain},
+		{"covariance at a freed slot/instream", atFreedSlot(markedIn, marker), readIn},
+		{"covariance at a freed slot/sampler", atFreedSlot(markedPlain, marker), readPlain},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if c.read(c.doc) == nil {
+				t.Fatal("document accepted")
+			}
+		})
+	}
+
+	t.Run("finite covariance", func(t *testing.T) {
+		back, _, err := ReadInStreamCheckpoint(bytes.NewReader(markedIn), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := est.recs[live]
+		want.triCov = marker
+		if back.recs[live] != want {
+			t.Fatalf("restored record %+v, want %+v", back.recs[live], want)
+		}
+		s, err := ReadCheckpoint(bytes.NewReader(markedPlain), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(checkpointBytes(t, s, "triangle"), checkpointBytes(t, est.Sampler(), "triangle")) {
+			t.Fatal("a plain-sampler restore kept covariance words")
+		}
+	})
 }

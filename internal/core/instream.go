@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 
 	"gps/internal/graph"
 )
@@ -34,9 +35,21 @@ import (
 // sampler's boosted priorities) a run is bounded to ~1000 half-lives past
 // the landmark.
 //
+// Algorithm 3's per-edge state lives in the estimator, not in the heap: a
+// table indexed by heap arena slot holds, for each sampled edge, its weight
+// and its two covariance accumulators. The snapshot loops read one compact
+// record per sampled neighbour instead of the heap entry, and the sampler's
+// entries (cloned, merged and checkpointed by every engine) carry only what
+// sampling needs.
+//
 // InStream is not safe for concurrent use.
 type InStream struct {
 	s *Sampler
+
+	// recs[slot] is the record of the edge stored at that heap arena slot,
+	// written when the edge is admitted. A freed slot's record is garbage
+	// until an admission reuses the slot, like the arena entry itself.
+	recs []inRec
 
 	nTri, vTri float64 // Ñ(△), Ṽ(△)
 	nW, vW     float64 // Ñ(Λ), Ṽ(Λ)
@@ -55,6 +68,16 @@ type InStream struct {
 	fuseTri bool
 }
 
+// inRec is the in-stream record of one sampled edge: its weight w(k),
+// copied from the heap entry at admission, and its covariance accumulators
+// (Algorithm 3 lines 18-19, 27), which start at zero on admission and are
+// discarded with the slot on eviction, as lines 39-40 prescribe.
+type inRec struct {
+	w        float64 // w(k)
+	triCov   float64 // C̃_k(△)
+	wedgeCov float64 // C̃_k(Λ)
+}
+
 // NewInStream returns an in-stream estimator with a fresh GPS sampler for
 // the given configuration.
 func NewInStream(cfg Config) (*InStream, error) {
@@ -62,7 +85,7 @@ func NewInStream(cfg Config) (*InStream, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &InStream{s: s, fuseTri: fusesTriangleWeight(cfg.Weight)}, nil
+	return &InStream{s: s, recs: make([]inRec, 0, cfg.Capacity+1), fuseTri: fusesTriangleWeight(cfg.Weight)}, nil
 }
 
 // fusesTriangleWeight reports whether w is exactly the built-in
@@ -75,7 +98,9 @@ func fusesTriangleWeight(w WeightFunc) bool {
 }
 
 // Sampler exposes the underlying GPS sampler (e.g. to run EstimatePost over
-// the same sample, or to query inclusion probabilities).
+// the same sample, or to query inclusion probabilities). Arrivals must go
+// through InStream.Process: the per-edge table follows only the admissions
+// the estimator makes.
 func (t *InStream) Sampler() *Sampler { return t.s }
 
 // Process handles one edge arrival: GPSEstimate(k) followed by
@@ -93,16 +118,21 @@ func (t *InStream) Process(e graph.Edge) bool {
 		return true
 	}
 	tris := t.estimate(e)
-	var in bool
-	if t.fuseTri {
-		// TriangleWeight is 9·|△̂(k)|+1 and the estimate pass enumerated
-		// exactly △̂(k) — the common neighbors of k's endpoints — so the
-		// sampling step reuses that count instead of re-merging the
-		// neighbor runs inside the weight function. Same weight bits, same
-		// RNG draw, bit-identical run (a tested invariant).
-		in = t.s.processWeighted(e, 9*float64(tris)+1)
-	} else {
-		in = t.s.Process(e)
+	// TriangleWeight is 9·|△̂(k)|+1 and the estimate pass enumerated exactly
+	// △̂(k) — the common neighbors of k's endpoints — so the fused path
+	// reuses that count instead of re-merging the neighbor runs inside the
+	// weight function. Same weight bits, same RNG draw, bit-identical run
+	// (a tested invariant).
+	w := 9*float64(tris) + 1
+	if !t.fuseTri {
+		w = t.s.weightOf(e)
+	}
+	slot := t.s.processWeighted(e, w)
+	if slot >= 0 {
+		if n := int(slot) + 1; n > len(t.recs) {
+			t.recs = slices.Grow(t.recs, n-len(t.recs))[:n]
+		}
+		t.recs[slot] = inRec{w: t.s.res.entryAt(slot).Weight}
 	}
 	if t.s.lambda > 0 {
 		// The sampling step above resolved the effective event time (and on
@@ -114,7 +144,7 @@ func (t *InStream) Process(e graph.Edge) bool {
 		}
 		t.decayedArrivals += fastExp(t.s.lambda * (float64(ts) - float64(t.s.landmark)))
 	}
-	return in
+	return slot >= 0
 }
 
 // retractEstimate compensates the running totals for a turnstile deletion.
@@ -210,48 +240,50 @@ func (t *InStream) estimate(k graph.Edge) int {
 	if t.s.lambda > 0 {
 		return t.estimateDecayed(k)
 	}
-	res := t.s.res
+	res, recs, zstar := t.s.res, t.recs, t.s.zstar
 	tris := 0
 
 	// Triangles completed by k (lines 9-19). Distinct triangles completed
 	// by the same arrival share no sampled edge, so the updates to the
 	// per-edge accumulators of one cannot affect another ("parallel for").
-	// Both rim edges' heap entries arrive as slots alongside the common
-	// neighbor — no hash probes on this path either.
+	// Both rim edges' slots arrive alongside the common neighbor — no hash
+	// probes on this path either.
 	res.commonNeighborsWithSlots(k.U, k.V, func(v3 graph.NodeID, su, sv int32) bool {
 		tris++
-		e1 := res.entryAt(su)
-		e2 := res.entryAt(sv)
-		q1 := t.s.probForWeight(e1.Weight)
-		q2 := t.s.probForWeight(e2.Weight)
+		r1, r2 := &recs[su], &recs[sv]
+		q1 := inclusionProb(r1.w, zstar)
+		q2 := inclusionProb(r2.w, zstar)
 		inv := 1 / (q1 * q2)
 		t.nTri += inv                                // line 14: triangle count
 		t.vTri += (inv - 1) * inv                    // line 15: own variance term
-		t.vTri += 2 * (e1.TriCov + e2.TriCov) * inv  // line 16: covariance with earlier triangles
-		t.covTW += (e1.WedgeCov + e2.WedgeCov) * inv // line 17: covariance with earlier wedges
-		e1.TriCov += (1/q1 - 1) / q2                 // lines 18-19
-		e2.TriCov += (1/q2 - 1) / q1
+		t.vTri += 2 * (r1.triCov + r2.triCov) * inv  // line 16: covariance with earlier triangles
+		t.covTW += (r1.wedgeCov + r2.wedgeCov) * inv // line 17: covariance with earlier wedges
+		r1.triCov += (1/q1 - 1) / q2                 // lines 18-19
+		r2.triCov += (1/q2 - 1) / q1
 		return true
 	})
 
 	// Wedges formed by k with each adjacent sampled edge j (lines 20-27).
 	// k itself is not yet sampled, so every sampled neighbor of either
-	// endpoint contributes exactly one wedge.
+	// endpoint contributes exactly one wedge. The totals stay in locals
+	// across a run: the same operations in the same order as updating them
+	// in place.
 	wedgeAt := func(center, other graph.NodeID) {
 		nbrs, slots := res.neighborRun(center)
+		nW, vW, covTW := t.nW, t.vW, t.covTW
 		for i, x := range nbrs {
 			if x == other {
 				continue
 			}
-			ent := res.entryAt(slots[i])
-			q := t.s.probForWeight(ent.Weight)
-			invQ := 1 / q
-			t.nW += invQ                    // line 23: wedge count
-			t.vW += invQ * (invQ - 1)       // line 24: own variance term
-			t.vW += 2 * ent.WedgeCov * invQ // line 25: covariance with earlier wedges
-			t.covTW += ent.TriCov * invQ    // line 26: covariance with earlier triangles
-			ent.WedgeCov += invQ - 1        // line 27
+			r := &recs[slots[i]]
+			invQ := 1 / inclusionProb(r.w, zstar)
+			nW += invQ                  // line 23: wedge count
+			vW += invQ * (invQ - 1)     // line 24: own variance term
+			vW += 2 * r.wedgeCov * invQ // line 25: covariance with earlier wedges
+			covTW += r.triCov * invQ    // line 26: covariance with earlier triangles
+			r.wedgeCov += invQ - 1      // line 27
 		}
+		t.nW, t.vW, t.covTW = nW, vW, covTW
 	}
 	wedgeAt(k.U, k.V)
 	wedgeAt(k.V, k.U)
@@ -263,8 +295,9 @@ func (t *InStream) estimate(k graph.Edge) int {
 // landmark-unit value of its oldest edge. The per-edge covariance
 // accumulators carry the same scaling, so cross terms pick up both motifs'
 // decay values. Estimates renormalizes everything by g(T) at query time.
+// Event times are read from the heap entries; the records hold the rest.
 func (t *InStream) estimateDecayed(k graph.Edge) int {
-	res := t.s.res
+	res, recs, zstar := t.s.res, t.recs, t.s.zstar
 	tris := 0
 	tsK := k.TS
 	if tsK == 0 {
@@ -280,41 +313,38 @@ func (t *InStream) estimateDecayed(k graph.Edge) int {
 
 	res.commonNeighborsWithSlots(k.U, k.V, func(v3 graph.NodeID, su, sv int32) bool {
 		tris++
-		e1 := res.entryAt(su)
-		e2 := res.entryAt(sv)
-		q1 := t.s.probForWeight(e1.Weight)
-		q2 := t.s.probForWeight(e2.Weight)
-		ts1, ts2 := e1.Edge.TS, e2.Edge.TS
-		tsMin := ts1
-		if ts2 < tsMin {
-			tsMin = ts2
-		}
-		phi := phiMin(tsK, tsMin)
+		r1, r2 := &recs[su], &recs[sv]
+		q1 := inclusionProb(r1.w, zstar)
+		q2 := inclusionProb(r2.w, zstar)
+		phi := phiMin(tsK, min(res.entryAt(su).Edge.TS, res.entryAt(sv).Edge.TS))
 		inv := 1 / (q1 * q2)
 		t.nTri += phi * inv
 		t.vTri += phi * phi * (inv - 1) * inv
-		t.vTri += 2 * (e1.TriCov + e2.TriCov) * phi * inv
-		t.covTW += (e1.WedgeCov + e2.WedgeCov) * phi * inv
-		e1.TriCov += phi * (1/q1 - 1) / q2
-		e2.TriCov += phi * (1/q2 - 1) / q1
+		t.vTri += 2 * (r1.triCov + r2.triCov) * phi * inv
+		t.covTW += (r1.wedgeCov + r2.wedgeCov) * phi * inv
+		r1.triCov += phi * (1/q1 - 1) / q2
+		r2.triCov += phi * (1/q2 - 1) / q1
 		return true
 	})
 
 	wedgeAt := func(center, other graph.NodeID) {
 		nbrs, slots := res.neighborRun(center)
+		nW, vW, covTW := t.nW, t.vW, t.covTW
 		for i, x := range nbrs {
 			if x == other {
 				continue
 			}
-			ent := res.entryAt(slots[i])
-			invQ := 1 / t.s.probForWeight(ent.Weight)
-			phi := phiMin(tsK, ent.Edge.TS)
-			t.nW += phi * invQ
-			t.vW += phi * phi * invQ * (invQ - 1)
-			t.vW += 2 * ent.WedgeCov * phi * invQ
-			t.covTW += ent.TriCov * phi * invQ
-			ent.WedgeCov += phi * (invQ - 1)
+			slot := slots[i]
+			r := &recs[slot]
+			invQ := 1 / inclusionProb(r.w, zstar)
+			phi := phiMin(tsK, res.entryAt(slot).Edge.TS)
+			nW += phi * invQ
+			vW += phi * phi * invQ * (invQ - 1)
+			vW += 2 * r.wedgeCov * phi * invQ
+			covTW += r.triCov * phi * invQ
+			r.wedgeCov += phi * (invQ - 1)
 		}
+		t.nW, t.vW, t.covTW = nW, vW, covTW
 	}
 	wedgeAt(k.U, k.V)
 	wedgeAt(k.V, k.U)

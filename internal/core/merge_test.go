@@ -93,9 +93,7 @@ func requireSameBits(t *testing.T, a, b *Sampler) {
 func sameEntryBits(x, y order.Entry) bool {
 	return x.Edge == y.Edge &&
 		math.Float64bits(x.Weight) == math.Float64bits(y.Weight) &&
-		math.Float64bits(x.Priority) == math.Float64bits(y.Priority) &&
-		math.Float64bits(x.TriCov) == math.Float64bits(y.TriCov) &&
-		math.Float64bits(x.WedgeCov) == math.Float64bits(y.WedgeCov)
+		math.Float64bits(x.Priority) == math.Float64bits(y.Priority)
 }
 
 // estimateBits flattens every field of an Estimates to its bits, so a new
@@ -211,13 +209,10 @@ func newMergeInputs(t *testing.T, seed uint64) []mergeInputs {
 		}
 		for _, e := range pool {
 			s := in[rng.Intn(k)]
-			s.res.insert(order.Entry{
-				Edge:     e,
-				Weight:   1 + float64(rng.Intn(4)),
-				Priority: float64(1 + rng.Intn(5)),
-				TriCov:   rng.Uniform01(),
-				WedgeCov: rng.Uniform01(),
-			})
+			w, p := 1+float64(rng.Intn(4)), float64(1+rng.Intn(5))
+			w += rng.Uniform01() // an arbitrary payload: the merged entry must carry it
+			rng.Uniform01()      // keeps the draws the later families are built from
+			s.res.insert(order.Entry{Edge: e, Weight: w, Priority: p})
 		}
 		out = append(out, mergeInputs{"ties", Config{}, in})
 	}
@@ -440,16 +435,16 @@ func TestMergeTieGoesToFirstInput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.res.insert(order.Entry{Edge: e, Weight: 1, Priority: 2, TriCov: float64(i)})
+		s.res.insert(order.Entry{Edge: e.At(uint64(10 + i)), Weight: 1, Priority: 2})
 		inputs[i] = s
 	}
-	slices.Reverse(inputs) // input 0 carries TriCov 2
+	slices.Reverse(inputs) // input 0 carries event time 12
 	m, err := Merge(inputs, Config{Capacity: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.res.Len() != 1 || m.res.entry(e).TriCov != 2 {
-		t.Fatalf("merged %d entries, TriCov %v; want the first input's copy (TriCov 2)", m.res.Len(), m.res.entry(e).TriCov)
+	if m.res.Len() != 1 || m.res.entry(e).Edge.TS != 12 {
+		t.Fatalf("merged %d entries, event time %v; want the first input's copy (12)", m.res.Len(), m.res.entry(e).Edge.TS)
 	}
 	if m.Threshold() != 2 {
 		t.Fatalf("threshold %v, want the excluded copies' priority 2", m.Threshold())

@@ -123,9 +123,11 @@ func (r *Reservoir) commonNeighborsWithSlots(u, v graph.NodeID, fn func(w graph.
 	r.adj.CommonNeighborsWithSlots(u, v, fn)
 }
 
-func (r *Reservoir) insert(ent order.Entry) {
+// insert stores a new sampled edge and returns its heap arena slot.
+func (r *Reservoir) insert(ent order.Entry) int32 {
 	slot := r.heap.Push(ent)
 	r.adj.AddWithSlot(ent.Edge, slot)
+	return slot
 }
 
 // remove deletes the sampled edge e from an arbitrary heap position and

@@ -133,28 +133,37 @@ func (s *Sampler) Process(e graph.Edge) bool {
 		s.duplicates++
 		return true
 	}
-	var w float64
-	if s.uniform {
-		w = 1
-	} else {
-		w = s.weight(e, s.res)
-		if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			panic(fmt.Sprintf("core: weight function returned invalid weight %v for edge %v", w, e))
-		}
+	w := 1.0
+	if !s.uniform {
+		w = s.weightOf(e)
 	}
-	return s.processWeighted(e, w)
+	return s.processWeighted(e, w) >= 0
+}
+
+// weightOf evaluates the sampling weight W(k,K̂) of a new arrival against
+// the current reservoir, panicking on a value that is not positive and
+// finite.
+func (s *Sampler) weightOf(e graph.Edge) float64 {
+	w := s.weight(e, s.res)
+	if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+		panic(fmt.Sprintf("core: weight function returned invalid weight %v for edge %v", w, e))
+	}
+	return w
 }
 
 // processWeighted is the sampling step with the arrival's weight W(k,K̂)
-// already evaluated. It is bit-identical to Process on a non-duplicate
-// arrival fed the same weight value: weight functions see neither the
-// arrival counter nor the RNG, so evaluating W before the counter bump and
-// the uniform draw commutes. InStream uses it to inject the triangle count
-// its estimate pass already enumerated instead of re-running the
-// common-neighbor merge inside TriangleWeight. Callers must have ruled out
-// duplicates and guarantee w is the (strictly positive, finite) value
-// s.weight would return for e against the current reservoir.
-func (s *Sampler) processWeighted(e graph.Edge, w float64) bool {
+// already evaluated. It returns the heap arena slot the arrival is stored
+// at, or -1 when the arrival is not in the reservoir afterwards. It is
+// bit-identical to Process on a non-duplicate arrival fed the same weight
+// value: weight functions see neither the arrival counter nor the RNG, so
+// evaluating W before the counter bump and the uniform draw commutes.
+// InStream uses it to inject the triangle count its estimate pass already
+// enumerated instead of re-running the common-neighbor merge inside
+// TriangleWeight, and to learn which slot its per-edge record belongs to.
+// Callers must have ruled out duplicates and guarantee w is the (strictly
+// positive, finite) value s.weight would return for e against the current
+// reservoir.
+func (s *Sampler) processWeighted(e graph.Edge, w float64) int32 {
 	s.arrivals++
 	u := s.rng.Uniform01()
 	if s.lambda > 0 {
@@ -173,23 +182,23 @@ func (s *Sampler) processWeighted(e graph.Edge, w float64) bool {
 		if r > s.zstar {
 			s.zstar = r
 		}
-		return false
+		return -1
 	}
 
 	// Provisional inclusion, then evict the minimum of the m+1 candidates.
-	s.res.insert(order.Entry{Edge: e, Weight: w, Priority: r})
+	slot := s.res.insert(order.Entry{Edge: e, Weight: w, Priority: r})
 	if s.res.Len() > s.capacity {
 		min := s.res.evictMin()
 		if min.Priority > s.zstar {
 			s.zstar = min.Priority
 		}
 		if min.Edge == e {
-			return false
+			return -1
 		}
 		s.evicts++
 	}
 	s.accepts++
-	return true
+	return slot
 }
 
 // deleteEdge applies a turnstile deletion record: if the edge is resident it
@@ -320,11 +329,15 @@ func (s *Sampler) Reservoir() *Reservoir { return s.res }
 // probability of an edge with stored weight w given the current threshold
 // (GPSNormalize, Algorithm 1 lines 15-17). With z* = 0 no edge has ever
 // been evicted and every sampled edge has probability 1.
-func (s *Sampler) probForWeight(w float64) float64 {
-	if s.zstar <= 0 || w >= s.zstar {
+func (s *Sampler) probForWeight(w float64) float64 { return inclusionProb(w, s.zstar) }
+
+// inclusionProb is q = min{1, w/z*} at threshold zstar, for loops that hold
+// z* in a local.
+func inclusionProb(w, zstar float64) float64 {
+	if zstar <= 0 || w >= zstar {
 		return 1
 	}
-	return w / s.zstar
+	return w / zstar
 }
 
 // InclusionProb returns the Horvitz-Thompson inclusion probability

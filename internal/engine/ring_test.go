@@ -14,9 +14,9 @@ import (
 
 // mergedState reduces a Merge result to its GPSC serialization — the
 // strongest equality available: reservoir membership, weights, priorities,
-// covariance accumulators, heap order, threshold, counters and RNG state
-// all land in the bytes, so two equal serializations are samplers that will
-// evolve bit-identically forever.
+// heap order, threshold, counters and RNG state all land in the bytes, so
+// two equal serializations are samplers that will evolve bit-identically
+// forever.
 func mergedState(t *testing.T, p *Parallel) []byte {
 	t.Helper()
 	m, err := p.Merge()

@@ -22,11 +22,12 @@ func TestFillerMatchesPush(t *testing.T) {
 		for i := range offers {
 			// A small key space repeats keys; a coarse priority grid ties them.
 			u := graph.NodeID(rng.Intn(30))
+			// The event time tags each offer, so a stored copy taken from
+			// the wrong offer shows.
 			offers[i] = Entry{
-				Edge:     graph.NewEdge(u, u+1+graph.NodeID(rng.Intn(30))),
+				Edge:     graph.NewEdge(u, u+1+graph.NodeID(rng.Intn(30))).At(1 + rng.Uint64n(1<<20)),
 				Weight:   1 + rng.Float64(),
 				Priority: float64(1 + rng.Intn(40)),
-				TriCov:   rng.Float64(),
 			}
 		}
 		slices.SortStableFunc(offers, func(a, b Entry) int {

@@ -6,18 +6,18 @@
 // eviction candidate is available in O(1) and insert/evict cost O(log m).
 // On top of the plain heap this package maintains an edge-key → entry index,
 // because the estimators (Algorithms 2 and 3) must look up the stored weight
-// w(k') of an arbitrary sampled edge to form q(k') = min{1, w(k')/z*}, and
-// the in-stream estimator additionally updates per-edge covariance
-// accumulators C̃_k in place.
+// w(k') of an arbitrary sampled edge to form q(k') = min{1, w(k')/z*}.
 //
 // Layout: entries live in a flat arena addressed by stable slot ids and
 // never move; the heap itself is an array of int32 slot ids ordered by
-// priority, so sift operations move 4-byte ids instead of 48-byte entries
-// and touch no index. The edge-key index is graph.KeyTable, the flat
-// open-addressing table (linear probing, backward-shift deletion) that also
-// interns the adjacency's nodes: it keeps per-operation map overhead off
-// the sampler's hot path, and steady-state Push/PopMin cycles are
-// allocation-free.
+// priority, so sift operations move 4-byte ids instead of 40-byte entries
+// and touch no index. Stable slots also index the estimators' side tables:
+// the in-stream estimator keeps its per-edge covariance accumulators in a
+// slot-indexed table of its own, so an entry holds only what sampling
+// needs. The edge-key index is graph.KeyTable, the flat open-addressing
+// table (linear probing, backward-shift deletion) that also interns the
+// adjacency's nodes: it keeps per-operation map overhead off the sampler's
+// hot path, and steady-state Push/PopMin cycles are allocation-free.
 package order
 
 import (
@@ -28,17 +28,12 @@ import (
 	"gps/internal/graph"
 )
 
-// Entry is the reservoir record of one sampled edge.
+// Entry is the reservoir record of one sampled edge: 40 bytes, the edge
+// with its event time, and the two numbers sampling decisions read.
 type Entry struct {
 	Edge     graph.Edge
 	Weight   float64 // w(k), fixed at arrival time
 	Priority float64 // r(k) = w(k)/u(k)
-
-	// In-stream covariance accumulators (Algorithm 3 lines 18-19, 27).
-	// They live in the heap entry so that eviction of the edge discards
-	// them, exactly as lines 39-40 of Algorithm 3 prescribe.
-	TriCov   float64 // C̃_k(△)
-	WedgeCov float64 // C̃_k(Λ)
 }
 
 // Heap is a binary min-heap of Entries keyed by Priority with an auxiliary
@@ -108,12 +103,12 @@ func (h *Heap) ExportState() (arena []Entry, freed []int32, heapOrder []int32) {
 // decoded from a checkpoint), taking ownership of the slices. It validates
 // every structural invariant a forged or corrupted checkpoint could break —
 // freed and heap slots must exactly partition the arena, freed entries must
-// be zeroed, live entries must hold canonical edges with distinct keys,
-// positive finite weights and priorities, finite covariance accumulators,
-// and the heap array must satisfy the min-heap property — and returns an
-// error (never panics) on any violation. The edge-key index is rebuilt from
-// the live entries; its bucket layout is unobservable, so a restored heap
-// evolves bit-identically to the exported one.
+// be zeroed, live entries must hold canonical edges with distinct keys and
+// positive finite weights and priorities, and the heap array must satisfy
+// the min-heap property — and returns an error (never panics) on any
+// violation. The edge-key index is rebuilt from the live entries; its
+// bucket layout is unobservable, so a restored heap evolves bit-identically
+// to the exported one.
 func RestoreHeap(arena []Entry, freed, heapOrder []int32) (*Heap, error) {
 	n := len(arena)
 	if n > (1<<31)-1 {
@@ -159,10 +154,6 @@ func RestoreHeap(arena []Entry, freed, heapOrder []int32) (*Heap, error) {
 		if !(ent.Priority > 0) || math.IsInf(ent.Priority, 0) {
 			return nil, fmt.Errorf("order: slot %d priority %v is not positive finite", slot, ent.Priority)
 		}
-		if math.IsNaN(ent.TriCov) || math.IsInf(ent.TriCov, 0) ||
-			math.IsNaN(ent.WedgeCov) || math.IsInf(ent.WedgeCov, 0) {
-			return nil, fmt.Errorf("order: slot %d covariance accumulators are not finite", slot)
-		}
 		if i > 0 {
 			parent := heapOrder[(i-1)/2]
 			if arena[parent].Priority > ent.Priority {
@@ -187,8 +178,7 @@ func (h *Heap) Contains(key uint64) bool {
 	return ok
 }
 
-// Get returns the entry for the edge key, or nil if absent. The pointer may
-// be used to read the weight or update the covariance accumulators; it is
+// Get returns the entry for the edge key, or nil if absent. The pointer is
 // invalidated by the next Push or PopMin.
 func (h *Heap) Get(key uint64) *Entry {
 	slot, ok := h.tab.Get(key)

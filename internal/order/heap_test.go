@@ -104,22 +104,22 @@ func TestGetTracksMovedEntries(t *testing.T) {
 	}
 }
 
-func TestCovarianceAccumulatorsSurviveSifts(t *testing.T) {
+func TestInPlaceMutationSurvivesSifts(t *testing.T) {
 	h := NewHeap(16)
 	rng := randx.New(2)
 	for i := 0; i < 16; i++ {
 		h.Push(Entry{Edge: edgeFor(i), Priority: rng.Float64()})
 	}
 	e := edgeFor(5)
-	h.Get(e.Key()).TriCov = 42
-	h.Get(e.Key()).WedgeCov = 7
+	h.Get(e.Key()).Edge.TS = 42
+	h.Get(e.Key()).Weight = 7
 	// Force structural churn.
 	for i := 100; i < 110; i++ {
 		h.Push(Entry{Edge: edgeFor(i), Priority: rng.Float64()})
 		h.PopMin()
 	}
-	if ent := h.Get(e.Key()); ent != nil && (ent.TriCov != 42 || ent.WedgeCov != 7) {
-		t.Fatalf("accumulators corrupted: %+v", ent)
+	if ent := h.Get(e.Key()); ent != nil && (ent.Edge.TS != 42 || ent.Weight != 7) {
+		t.Fatalf("entry written through Get corrupted: %+v", ent)
 	}
 }
 

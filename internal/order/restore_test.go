@@ -18,8 +18,7 @@ func churnHeap(t *testing.T) *Heap {
 		if h.Contains(e.Key()) {
 			continue
 		}
-		h.Push(Entry{Edge: e, Weight: 1 + rng.Float64(), Priority: rng.Uniform01() * 100,
-			TriCov: rng.Float64(), WedgeCov: rng.Float64()})
+		h.Push(Entry{Edge: e.At(1 + rng.Uint64n(1<<20)), Weight: 1 + rng.Float64(), Priority: rng.Uniform01() * 100})
 		if h.Len() > 32 {
 			h.PopMin()
 		}
@@ -115,10 +114,6 @@ func TestRestoreHeapRejectsCorruption(t *testing.T) {
 			a[ho[2]].Priority = nan()
 			return a, f, ho
 		}},
-		{"infinite covariance", func(a []Entry, f, ho []int32) ([]Entry, []int32, []int32) {
-			a[ho[2]].TriCov = inf()
-			return a, f, ho
-		}},
 		{"heap property violated", func(a []Entry, f, ho []int32) ([]Entry, []int32, []int32) {
 			a[ho[0]].Priority = a[ho[1]].Priority + a[ho[2]].Priority + 1e9
 			return a, f, ho
@@ -139,4 +134,3 @@ func TestRestoreHeapRejectsCorruption(t *testing.T) {
 }
 
 func nan() float64 { z := 0.0; return z / z }
-func inf() float64 { z := 0.0; return 1 / z }

@@ -389,7 +389,7 @@ func TestServeIngestPanicRecovery(t *testing.T) {
 		t.Fatalf("ingest status = %d", resp.StatusCode)
 	}
 	resp.Body.Close()
-	flush(t, ts.URL) // the marker behind the dropped batch must still ack
+	flush(t, ts.URL) // the dropped batch still counts as drained
 	fault.Disarm()
 
 	resp = postEdges(t, ts.URL, edges[250:], false)

@@ -212,11 +212,6 @@ type Server struct {
 	pprofAddr atomic.Value // string: bound pprof listener address, for /v1/stats
 }
 
-type ingestItem struct {
-	edges []graph.Edge
-	ack   chan struct{} // non-nil for flush markers
-}
-
 // NewServer builds the service: the stream registry (the default stream
 // plus any declared or restored named streams), the per-stream ingest
 // pipelines and the HTTP routes.
@@ -431,36 +426,32 @@ func (s *Server) pendingEdgeShare() int64 {
 func (s *Server) ingestLoop(t *tenant) {
 	defer s.wg.Done()
 	defer close(t.loopDone)
-	for it := range t.queue {
+	for edges := range t.queue {
 		t.pendingBatches.Add(-1)
-		if len(it.edges) > 0 {
-			// Recover a panic escaping admission (e.g. an injected
-			// ring-publish fault): the batch may be partially applied, but
-			// the loop — the only feeder of the sampler — must survive, and
-			// a pending flush marker behind the batch must still be acked.
-			// The stream position advances regardless so it stays an upper
-			// bound on arrivals (the snapshot cache's "provably current"
-			// check compares for equality, which a dropped batch only makes
-			// conservative); the loss itself is visible in ingest_panics.
-			func() {
-				defer func() {
-					if rec := recover(); rec != nil {
-						t.ingestPanics.Add(1)
-					}
-				}()
-				if err := t.eng.ProcessBatch(it.edges); err != nil {
-					// A windowed rotation failure (merge on a faulted pane)
-					// loses the batch like a recovered panic would; the loop
-					// survives and the loss is visible in ingest_panics.
+		// Recover a panic escaping admission (e.g. an injected ring-publish
+		// fault): the batch may be partially applied, but the loop — the
+		// only feeder of the sampler — must survive, and a flush waiting
+		// on the batch must still see it drained. The stream position
+		// advances regardless so it stays an upper bound on arrivals (the
+		// snapshot cache's "provably current" check compares for equality,
+		// which a dropped batch only makes conservative); the loss itself
+		// is visible in ingest_panics.
+		func() {
+			defer func() {
+				if rec := recover(); rec != nil {
 					t.ingestPanics.Add(1)
 				}
 			}()
-			t.pendingEdges.Add(-int64(len(it.edges)))
-			t.edgesProcessed.Add(uint64(len(it.edges)))
-		}
-		if it.ack != nil {
-			close(it.ack)
-		}
+			if err := t.eng.ProcessBatch(edges); err != nil {
+				// A windowed rotation failure (merge on a faulted pane)
+				// loses the batch like a recovered panic would; the loop
+				// survives and the loss is visible in ingest_panics.
+				t.ingestPanics.Add(1)
+			}
+		}()
+		t.pendingEdges.Add(-int64(len(edges)))
+		t.edgesProcessed.Add(uint64(len(edges)))
+		t.markDrained()
 	}
 }
 
@@ -634,35 +625,34 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		reject("ingest queue full (pending edge bound)")
 		return
 	}
-	select {
-	case t.queue <- ingestItem{edges: edges}:
-		t.edgesAccepted.Add(uint64(len(edges)))
-		t.selfLoops.Add(uint64(rst.SelfLoops))
-		if dels := countDeletions(edges); dels > 0 {
-			t.deletionRecs.Add(dels)
-		}
-		if fault.Enabled() {
-			// Lost-acknowledgement window: the batch is enqueued and its
-			// sequence recorded, but the 202 never reaches the client — the
-			// same shape as a connection cut after commit. A sequenced
-			// client retries and the dedup watermark answers "duplicate"
-			// without re-applying the batch.
-			if ferr := fault.Hit(fault.IngestAck); ferr != nil {
-				w.Header().Set("Retry-After", "1")
-				httpError(w, http.StatusServiceUnavailable, ferr.Error())
-				return
-			}
-		}
-		writeJSON(w, http.StatusAccepted, map[string]any{
-			"accepted":           len(edges),
-			"skipped_self_loops": rst.SelfLoops,
-			"queued_batches":     t.pendingBatches.Load(),
-		})
-	default:
+	if !t.enqueue(edges) {
 		// Backpressure: the queue is full. Clients should retry with
 		// delay; unbounded buffering here would just hide the overload.
 		reject("ingest queue full")
+		return
 	}
+	t.edgesAccepted.Add(uint64(len(edges)))
+	t.selfLoops.Add(uint64(rst.SelfLoops))
+	if dels := countDeletions(edges); dels > 0 {
+		t.deletionRecs.Add(dels)
+	}
+	if fault.Enabled() {
+		// Lost-acknowledgement window: the batch is enqueued and its
+		// sequence recorded, but the 202 never reaches the client — the
+		// same shape as a connection cut after commit. A sequenced client
+		// retries and the dedup watermark answers "duplicate" without
+		// re-applying the batch.
+		if ferr := fault.Hit(fault.IngestAck); ferr != nil {
+			w.Header().Set("Retry-After", "1")
+			httpError(w, http.StatusServiceUnavailable, ferr.Error())
+			return
+		}
+	}
+	writeJSON(w, http.StatusAccepted, map[string]any{
+		"accepted":           len(edges),
+		"skipped_self_loops": rst.SelfLoops,
+		"queued_batches":     t.pendingBatches.Load(),
+	})
 }
 
 // countDeletions counts the turnstile deletion records in a parsed batch,
@@ -772,11 +762,11 @@ var (
 // flushBarrier blocks until everything enqueued on t before it has reached
 // the sampler — the read-your-writes primitive behind /v1/flush and the
 // checkpoint handlers (a checkpoint must cover every batch acknowledged
-// before it was requested). It follows the closeMu discipline of
-// handleIngest: while the read lock is held, neither Close nor a stream
-// deletion can flip its flag and close the queue, so a marker admitted here
-// is guaranteed to be consumed (the ingest loop drains a closed queue) and
-// the pending counter cannot leak.
+// before it was requested). Under closeMu's read side it only checks that
+// the stream is live and reads how many batches have been enqueued; it
+// waits for the ingest loop to drain that many holding no lock, so a full
+// queue behind a slow sampler delays this flush alone, never a stream
+// deletion or creation, Close, or ingest into other streams.
 func (s *Server) flushBarrier(ctx context.Context, t *tenant) error {
 	s.closeMu.RLock()
 	if s.closed.Load() {
@@ -787,22 +777,9 @@ func (s *Server) flushBarrier(ctx context.Context, t *tenant) error {
 		s.closeMu.RUnlock()
 		return errStreamDeleted
 	}
-	ack := make(chan struct{})
-	t.pendingBatches.Add(1)
-	select {
-	case t.queue <- ingestItem{ack: ack}:
-		s.closeMu.RUnlock()
-	case <-ctx.Done():
-		t.pendingBatches.Add(-1)
-		s.closeMu.RUnlock()
-		return ctx.Err()
-	}
-	select {
-	case <-ack:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	n := t.enqueuedBatches()
+	s.closeMu.RUnlock()
+	return t.awaitDrained(ctx, n)
 }
 
 // flushAll runs the flush barrier on every live stream — the fence the

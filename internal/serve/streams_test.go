@@ -746,3 +746,97 @@ func TestServeEngineBoundary(t *testing.T) {
 		}
 	}
 }
+
+// TestFlushDoesNotStallOtherStreams wedges the default stream's ingest loop
+// (a one-shot 2 s ring-publish delay) behind a full queue, starts a flush
+// on it, then a DELETE of a third stream, and times a 202 into an unrelated
+// stream. A flush that waited while holding the registry's read lock would
+// keep the DELETE's write lock pending, and every new ingest would queue
+// behind that writer until the wedged stream drained. The flush must still
+// fence every batch acknowledged before it. The sleeps only order the
+// three requests, which the server exposes no event for; a short one makes
+// the test less sensitive, never wrong.
+func TestFlushDoesNotStallOtherStreams(t *testing.T) {
+	_, ts := newTestServer(t, Config{Capacity: 1000, Seed: 3})
+	for _, name := range []string{"other", "doomed"} {
+		if resp := createStream(t, ts.URL, name, `{}`); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create %q: status %d", name, resp.StatusCode)
+		}
+	}
+	armServeFaults(t, 9, "engine.ring.publish:latency:delay=2s,times=1")
+
+	// Disjoint batches, so the flush's arrival count is the accepted total.
+	base := gen.ErdosRenyi(50, 100, 1)
+	batch := func(i int) []graph.Edge {
+		out := make([]graph.Edge, len(base))
+		for j, e := range base {
+			out[j] = graph.NewEdge(e.U+graph.NodeID(100*i), e.V+graph.NodeID(100*i))
+		}
+		return out
+	}
+	accepted := 0
+	for i := 0; ; i++ {
+		if i == 3*queueBatches {
+			t.Fatal("the wedged default queue never filled")
+		}
+		resp := postTo(t, ts.URL, "", batch(i))
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusServiceUnavailable {
+			break
+		}
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("ingest status %d", resp.StatusCode)
+		}
+		accepted++
+	}
+
+	type flushResult struct {
+		status   int
+		arrivals uint64
+	}
+	flushed := make(chan flushResult, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/flush", "", nil)
+		if err != nil {
+			flushed <- flushResult{}
+			return
+		}
+		var body struct {
+			Arrivals uint64 `json:"arrivals"`
+		}
+		json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		flushed <- flushResult{resp.StatusCode, body.Arrivals}
+	}()
+	time.Sleep(100 * time.Millisecond) // the flush is waiting on the wedged stream
+	del, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/streams/doomed", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deleted := make(chan int, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(del)
+		if err != nil {
+			deleted <- 0
+			return
+		}
+		resp.Body.Close()
+		deleted <- resp.StatusCode
+	}()
+	time.Sleep(100 * time.Millisecond) // the DELETE has had time to run or queue
+
+	start := time.Now()
+	resp := postTo(t, ts.URL, "other", base)
+	resp.Body.Close()
+	if took := time.Since(start); resp.StatusCode != http.StatusAccepted || took > time.Second {
+		t.Fatalf("ingest into an unrelated stream: status %d after %v, want 202 well before the wedged stream drains",
+			resp.StatusCode, took)
+	}
+	if status := <-deleted; status != http.StatusOK {
+		t.Fatalf("DELETE status %d", status)
+	}
+	f := <-flushed
+	if f.status != http.StatusOK || f.arrivals != uint64(accepted*len(base)) {
+		t.Fatalf("flush: status %d, arrivals %d; want 200 and the %d acknowledged", f.status, f.arrivals, accepted*len(base))
+	}
+}

@@ -7,6 +7,7 @@ package serve
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -16,6 +17,7 @@ import (
 	"gps/internal/checkpoint"
 	"gps/internal/core"
 	"gps/internal/engine"
+	"gps/internal/graph"
 	"gps/internal/obs"
 )
 
@@ -66,9 +68,19 @@ type tenant struct {
 	// queue is closed under closeMu's write side when the stream is retired
 	// (deleted, or the server closed); producers check deleted and the
 	// server's closed flag under the read side before they send.
-	queue    chan ingestItem
+	queue    chan []graph.Edge
 	loopDone chan struct{} // closed when the ingest loop has drained and exited
 	deleted  atomic.Bool
+
+	// The flush fence. enqueued counts the batches sent on queue, under
+	// enqMu so the count follows queue order; drained counts the batches
+	// the ingest loop has finished, under drainMu, which also guards
+	// drainWake: a channel a waiting flush parks on, closed by the loop.
+	enqMu     sync.Mutex
+	enqueued  uint64
+	drainMu   sync.Mutex
+	drained   uint64
+	drainWake chan struct{}
 
 	edgesAccepted  atomic.Uint64 // edges admitted to the queue
 	edgesProcessed atomic.Uint64 // edges handed to the sampler (restored position on boot)
@@ -97,6 +109,63 @@ type tenant struct {
 	met serveMetrics
 }
 
+// enqueue sends a batch on the ingest queue without blocking, reporting
+// false when the queue is full. Callers hold closeMu's read side and have
+// checked the stream is live.
+func (t *tenant) enqueue(edges []graph.Edge) bool {
+	t.enqMu.Lock()
+	defer t.enqMu.Unlock()
+	select {
+	case t.queue <- edges:
+		t.enqueued++
+		return true
+	default:
+		return false
+	}
+}
+
+// enqueuedBatches returns how many batches have been sent on the queue.
+func (t *tenant) enqueuedBatches() uint64 {
+	t.enqMu.Lock()
+	defer t.enqMu.Unlock()
+	return t.enqueued
+}
+
+// markDrained is the ingest loop's side of the flush fence: one more batch
+// has been through the sampler. It wakes every waiting flush.
+func (t *tenant) markDrained() {
+	t.drainMu.Lock()
+	t.drained++
+	if t.drainWake != nil {
+		close(t.drainWake)
+		t.drainWake = nil
+	}
+	t.drainMu.Unlock()
+}
+
+// awaitDrained blocks, holding no lock, until the ingest loop has finished
+// the first n batches sent on the queue, or ctx ends. The loop drains a
+// closed queue, so a retired stream still reaches n.
+func (t *tenant) awaitDrained(ctx context.Context, n uint64) error {
+	for {
+		t.drainMu.Lock()
+		if t.drained >= n {
+			t.drainMu.Unlock()
+			return nil
+		}
+		if t.drainWake == nil {
+			t.drainWake = make(chan struct{})
+		}
+		wake := t.drainWake
+		t.drainMu.Unlock()
+		select {
+		case <-wake:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+}
+
 // windowed reports whether the tenant runs the sliding-window time model —
 // the capability branch every handler takes instead of a type switch.
 func (t *tenant) windowed() bool {
@@ -115,7 +184,7 @@ func newTenantState(name string, cfg Config, eng engine.Stream, restoredPosition
 		cfg:              cfg,
 		eng:              eng,
 		subs:             newSubHub(),
-		queue:            make(chan ingestItem, queueBatches),
+		queue:            make(chan []graph.Edge, queueBatches),
 		loopDone:         make(chan struct{}),
 		seqSeen:          make(map[string]uint64),
 		restoredPosition: restoredPosition,
