@@ -236,21 +236,26 @@ func (t *InStream) retractEstimate(e graph.Edge) {
 // the pair is counted exactly once — at the wedge step, which reads the
 // triangle covariance accumulator C̃_j(△) already updated by the triangle
 // step (line 26).
+//
+// Each endpoint's run is looked up once and serves both the triangle
+// intersection and that endpoint's wedge loop.
 func (t *InStream) estimate(k graph.Edge) int {
 	if t.s.lambda > 0 {
 		return t.estimateDecayed(k)
 	}
 	res, recs, zstar := t.s.res, t.recs, t.s.zstar
+	nu, slu := res.neighborRun(k.U)
+	nv, slv := res.neighborRun(k.V)
 	tris := 0
 
 	// Triangles completed by k (lines 9-19). Distinct triangles completed
 	// by the same arrival share no sampled edge, so the updates to the
 	// per-edge accumulators of one cannot affect another ("parallel for").
-	// Both rim edges' slots arrive alongside the common neighbor — no hash
-	// probes on this path either.
-	res.commonNeighborsWithSlots(k.U, k.V, func(v3 graph.NodeID, su, sv int32) bool {
+	// Both rim edges' slots sit at the common neighbor's index in the slot
+	// runs — no hash probes on this path either.
+	graph.IntersectRuns(nu, nv, func(i, j int) bool {
 		tris++
-		r1, r2 := &recs[su], &recs[sv]
+		r1, r2 := &recs[slu[i]], &recs[slv[j]]
 		q1 := inclusionProb(r1.w, zstar)
 		q2 := inclusionProb(r2.w, zstar)
 		inv := 1 / (q1 * q2)
@@ -264,18 +269,15 @@ func (t *InStream) estimate(k graph.Edge) int {
 	})
 
 	// Wedges formed by k with each adjacent sampled edge j (lines 20-27).
-	// k itself is not yet sampled, so every sampled neighbor of either
-	// endpoint contributes exactly one wedge. The totals stay in locals
-	// across a run: the same operations in the same order as updating them
-	// in place.
-	wedgeAt := func(center, other graph.NodeID) {
-		nbrs, slots := res.neighborRun(center)
+	// k itself is not sampled (Process returned early on a duplicate), so
+	// neither endpoint's run holds the other endpoint, and every sampled
+	// neighbor contributes exactly one wedge: the loop reads the slot run
+	// alone. The totals stay in locals across a run: the same operations
+	// in the same order as updating them in place.
+	wedges := func(slots []int32) {
 		nW, vW, covTW := t.nW, t.vW, t.covTW
-		for i, x := range nbrs {
-			if x == other {
-				continue
-			}
-			r := &recs[slots[i]]
+		for _, slot := range slots {
+			r := &recs[slot]
 			invQ := 1 / inclusionProb(r.w, zstar)
 			nW += invQ                  // line 23: wedge count
 			vW += invQ * (invQ - 1)     // line 24: own variance term
@@ -285,8 +287,8 @@ func (t *InStream) estimate(k graph.Edge) int {
 		}
 		t.nW, t.vW, t.covTW = nW, vW, covTW
 	}
-	wedgeAt(k.U, k.V)
-	wedgeAt(k.V, k.U)
+	wedges(slu)
+	wedges(slv)
 	return tris
 }
 
@@ -298,6 +300,8 @@ func (t *InStream) estimate(k graph.Edge) int {
 // Event times are read from the heap entries; the records hold the rest.
 func (t *InStream) estimateDecayed(k graph.Edge) int {
 	res, recs, zstar := t.s.res, t.recs, t.s.zstar
+	nu, slu := res.neighborRun(k.U)
+	nv, slv := res.neighborRun(k.V)
 	tris := 0
 	tsK := k.TS
 	if tsK == 0 {
@@ -311,8 +315,9 @@ func (t *InStream) estimateDecayed(k graph.Edge) int {
 		return fastExp(t.s.lambda * (float64(a) - float64(t.s.landmark)))
 	}
 
-	res.commonNeighborsWithSlots(k.U, k.V, func(v3 graph.NodeID, su, sv int32) bool {
+	graph.IntersectRuns(nu, nv, func(i, j int) bool {
 		tris++
+		su, sv := slu[i], slv[j]
 		r1, r2 := &recs[su], &recs[sv]
 		q1 := inclusionProb(r1.w, zstar)
 		q2 := inclusionProb(r2.w, zstar)
@@ -327,14 +332,9 @@ func (t *InStream) estimateDecayed(k graph.Edge) int {
 		return true
 	})
 
-	wedgeAt := func(center, other graph.NodeID) {
-		nbrs, slots := res.neighborRun(center)
+	wedges := func(slots []int32) {
 		nW, vW, covTW := t.nW, t.vW, t.covTW
-		for i, x := range nbrs {
-			if x == other {
-				continue
-			}
-			slot := slots[i]
+		for _, slot := range slots {
 			r := &recs[slot]
 			invQ := 1 / inclusionProb(r.w, zstar)
 			phi := phiMin(tsK, res.entryAt(slot).Edge.TS)
@@ -346,8 +346,8 @@ func (t *InStream) estimateDecayed(k graph.Edge) int {
 		}
 		t.nW, t.vW, t.covTW = nW, vW, covTW
 	}
-	wedgeAt(k.U, k.V)
-	wedgeAt(k.V, k.U)
+	wedges(slu)
+	wedges(slv)
 	return tris
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"gps/internal/gen"
@@ -195,6 +196,31 @@ func withDeletions(edges []graph.Edge) []graph.Edge {
 	return out
 }
 
+// withChurn adds duplicates and re-arrivals to withDeletions' stream: after
+// every third arrival the arrival before it comes again, a duplicate while
+// that edge is still sampled, and after every seventh the edge deleted most
+// recently arrives again, to be sampled afresh, often into a slot a
+// deletion or an eviction has just freed.
+func withChurn(edges []graph.Edge) []graph.Edge {
+	out := make([]graph.Edge, 0, len(edges)+len(edges)/3+len(edges)/5+len(edges)/7)
+	var deleted []graph.Edge
+	for i, e := range edges {
+		out = append(out, e)
+		if i%3 == 2 {
+			out = append(out, edges[i-1])
+		}
+		if i%5 == 4 {
+			out = append(out, edges[i-2].AsDeletion())
+			deleted = append(deleted, edges[i-2])
+		}
+		if n := len(deleted); i%7 == 6 && n > 0 {
+			out = append(out, deleted[n-1])
+			deleted = deleted[:n-1]
+		}
+	}
+	return out
+}
+
 // requireSameInStream compares the running totals of an InStream and the
 // reference bit for bit.
 func requireSameInStream(t *testing.T, at int, got *InStream, want *inStreamReference) {
@@ -219,7 +245,11 @@ func requireSameInStream(t *testing.T, at int, got *InStream, want *inStreamRefe
 // TestInStreamMatchesReference pins Algorithm 3 bit for bit against
 // inStreamReference across weights, capacities and time models. At m = 12
 // nearly every admission reuses a freed slot, so per-edge state that is not
-// reset on admission, or a sum taken in another order, shows at once.
+// reset on admission, or a sum taken in another order, shows at once. The
+// churn streams must feed at least one duplicate of a sampled edge and
+// sample at least one re-arrival of a deleted edge: the snapshot loops
+// count on a duplicate never reaching them, and on a re-admitted edge
+// starting from a clean record.
 func TestInStreamMatchesReference(t *testing.T) {
 	for _, weight := range []struct {
 		name string
@@ -234,6 +264,8 @@ func TestInStreamMatchesReference(t *testing.T) {
 				{"undecayed", Decay{}, goldenStream},
 				{"decayed", Decay{HalfLife: 3000}, goldenStream},
 				{"turnstile", Decay{}, func() []graph.Edge { return withDeletions(goldenStream()) }},
+				{"churn", Decay{}, func() []graph.Edge { return withChurn(goldenStream()) }},
+				{"decayed-churn", Decay{HalfLife: 3000}, func() []graph.Edge { return withChurn(goldenStream()) }},
 			} {
 				t.Run(fmt.Sprintf("%s/m%d/%s", weight.name, m, mode.name), func(t *testing.T) {
 					cfg := Config{Capacity: m, Weight: weight.fn, Seed: 0x3A, Decay: mode.decay}
@@ -243,9 +275,17 @@ func TestInStreamMatchesReference(t *testing.T) {
 					}
 					want := newInStreamReference(t, cfg)
 					edges := mode.edges()
+					deleted := make(map[uint64]bool)
+					readmitted := 0
 					for i, e := range edges {
-						if a, b := got.Process(e), want.process(e); a != b {
+						a, b := got.Process(e), want.process(e)
+						if a != b {
 							t.Fatalf("record %d: sampled %v, reference %v", i, a, b)
+						}
+						if e.Del {
+							deleted[e.Key()] = true
+						} else if a && deleted[e.Key()] {
+							readmitted++
 						}
 						if i%500 == 0 || i == len(edges)-1 {
 							requireSameInStream(t, i, got, want)
@@ -253,6 +293,10 @@ func TestInStreamMatchesReference(t *testing.T) {
 					}
 					if a, b := fingerprint(got.Sampler()), fingerprint(want.s); a != b {
 						t.Fatalf("sampler fingerprint %#x, reference %#x", a, b)
+					}
+					if strings.HasSuffix(mode.name, "churn") && (got.Sampler().Duplicates() == 0 || readmitted == 0) {
+						t.Fatalf("churn stream fed %d duplicates of sampled edges and sampled %d re-arrivals; want both > 0",
+							got.Sampler().Duplicates(), readmitted)
 					}
 				})
 			}

@@ -332,13 +332,14 @@ func (s *Sampler) Reservoir() *Reservoir { return s.res }
 func (s *Sampler) probForWeight(w float64) float64 { return inclusionProb(w, s.zstar) }
 
 // inclusionProb is q = min{1, w/z*} at threshold zstar, for loops that hold
-// z* in a local.
-func inclusionProb(w, zstar float64) float64 {
-	if zstar <= 0 || w >= zstar {
-		return 1
-	}
-	return w / zstar
-}
+// z* in a local. It takes no branch, which matters in the snapshot loops:
+// whether a sampled neighbour sits at w ≥ z* varies from one neighbour to
+// the next, so a branch on it mispredicts. For the positive finite weights
+// a sampler stores and any z* ≥ 0 it equals the piecewise definition bit
+// for bit: z* = 0 gives +Inf and min returns 1, w ≥ z* gives a quotient of
+// at least 1, and w < z* gives a rounded quotient of at most 1, which min
+// returns unchanged (TestInclusionProbDefinition).
+func inclusionProb(w, zstar float64) float64 { return min(w/zstar, 1) }
 
 // InclusionProb returns the Horvitz-Thompson inclusion probability
 // q(e) = min{1, w(e)/z*} of a sampled edge, with ok=false when e is not in

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"gps/internal/gen"
 	"gps/internal/graph"
+	"gps/internal/randx"
 	"gps/internal/stream"
 )
 
@@ -97,6 +99,61 @@ func TestInclusionProbabilitiesInUnitInterval(t *testing.T) {
 	}
 	if _, ok := s.InclusionProb(graph.NewEdge(4000, 4001)); ok {
 		t.Fatal("unsampled edge reported a probability")
+	}
+}
+
+// TestInclusionProbDefinition pins inclusionProb, and the 1/q every
+// estimator divides by, bit for bit against the piecewise definition of
+// Algorithm 1 (lines 15-17): q = 1 when z* = 0 or w ≥ z*, else w/z*. The
+// cases sit on the edges of each piece — z* = 0, w = z*, w one ulp either
+// side of z*, subnormal weights and thresholds, quotients that overflow or
+// underflow, ratios near 2^±1000 — and a sweep adds pairs whose exponents
+// overlap, so w falls on both sides of z*. Estimator reference tests
+// cannot see a change to q: their references call the same function.
+func TestInclusionProbDefinition(t *testing.T) {
+	piecewise := func(w, zstar float64) float64 {
+		if zstar <= 0 || w >= zstar {
+			return 1
+		}
+		return w / zstar
+	}
+	check := func(w, zstar float64) {
+		t.Helper()
+		got, want := inclusionProb(w, zstar), piecewise(w, zstar)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("inclusionProb(%g, %g) = %g, definition %g", w, zstar, got, want)
+		}
+		if math.Float64bits(1/got) != math.Float64bits(1/want) {
+			t.Fatalf("1/inclusionProb(%g, %g) = %g, definition %g", w, zstar, 1/got, 1/want)
+		}
+	}
+	sub := math.SmallestNonzeroFloat64
+	up := func(x float64) float64 { return math.Nextafter(x, math.Inf(1)) }
+	down := func(x float64) float64 { return math.Nextafter(x, 0) }
+	for _, c := range [][2]float64{
+		// z* = 0: no eviction yet.
+		{1, 0}, {sub, 0}, {math.MaxFloat64, 0},
+		// w = z*.
+		{1, 1}, {3.5, 3.5}, {sub, sub}, {math.MaxFloat64, math.MaxFloat64},
+		// One ulp below and above z*.
+		{down(1), 1}, {up(1), 1}, {down(3.5), 3.5}, {up(3.5), 3.5},
+		{down(math.MaxFloat64), math.MaxFloat64}, {2 * sub, up(2 * sub)}, {up(2 * sub), 2 * sub},
+		// Subnormal w and z*; sub/MaxFloat64 underflows to q = 0, 1/q = +Inf.
+		{sub, 1}, {sub, 3.5}, {3 * sub, 4 * sub}, {sub, math.MaxFloat64},
+		{math.MaxFloat64, sub}, {math.Ldexp(1, -1030), math.Ldexp(1, -1022)},
+		// Ratios near 2^±1000.
+		{math.Ldexp(1, -1000), 1}, {math.Ldexp(1.5, -999), 1}, {1, math.Ldexp(1, 1000)},
+		{math.Ldexp(1, 1000), 1}, {1, math.Ldexp(1, -1000)}, {math.Ldexp(1, 500), math.Ldexp(1, -500)},
+		{math.Ldexp(3, -520), math.Ldexp(1, 480)},
+	} {
+		check(c[0], c[1])
+	}
+	rng := randx.New(0x9F)
+	for range 200_000 {
+		w := math.Ldexp(1+rng.Float64(), rng.Intn(81)-40)
+		zstar := math.Ldexp(1+rng.Float64(), rng.Intn(81)-40)
+		check(w, zstar)
+		check(w, w*(1+math.Ldexp(rng.Float64()-0.5, -40)))
 	}
 }
 

@@ -103,17 +103,8 @@ func (p *Parallel) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 		p.restartsTotal.Load, labels...)
 	reg.RegisterCounterFunc("gps_engine_shard_lost_edges_total", helpShardLostEdges,
 		p.LostEdges, labels...)
-	reg.RegisterGaugeFunc("gps_engine_shards_degraded",
-		"Shards whose sampler has diverged from the fault-free run (sticky).",
-		func() float64 {
-			n := 0
-			for _, sh := range p.shards {
-				if sh.degraded.Load() {
-					n++
-				}
-			}
-			return float64(n)
-		}, labels...)
+	reg.RegisterGaugeFunc("gps_engine_shards_degraded", helpShardsDegraded,
+		func() float64 { shards, _ := p.Health(); return degradedShards(shards) }, labels...)
 
 	reg.RegisterCounterFunc("gps_engine_checkpoints_total", "Checkpoints serialized.",
 		func() uint64 { c, _, _ := p.CheckpointStats(); return c }, labels...)
@@ -140,7 +131,20 @@ func (p *Parallel) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 const (
 	helpShardRestarts  = "Shard consumer panics recovered by the supervisor."
 	helpShardLostEdges = "Edges dropped by lossy shard recoveries (gaps, quarantines, rebuilds)."
+	helpShardsDegraded = "Shards whose sampler has diverged from the fault-free run (sticky)."
 )
+
+// degradedShards is the gps_engine_shards_degraded reading: how many of
+// the shards a Health call reports are degraded.
+func degradedShards(shards []ShardHealth) float64 {
+	n := 0
+	for _, h := range shards {
+		if h.Degraded {
+			n++
+		}
+	}
+	return float64(n)
+}
 
 func (p *Parallel) sumRings(f func(*ring) uint64) uint64 {
 	var total uint64

@@ -77,13 +77,15 @@ func (w *Windowed) Health() (shards []ShardHealth, degraded bool) {
 // RegisterMetrics attaches the gps_window_* families: pane rotation
 // replaces the live Parallel, so per-instance engine instruments would go
 // stale mid-run — the window families cover the chain instead, including
-// the window query's stage histograms. The shard supervisor counters keep
-// their gps_engine_* names and sum Health over the shards, so they count
-// across every pane the window has run and agree with it; Health reads the
-// retired panes' totals and the live pane under one hold of the window
-// mutex, so a rotation cannot move a count between them mid-read. The
-// readers take the window mutex briefly (no engine barrier), so scrapes
-// stay cheap. labels (e.g. a stream name) are stamped on every sample.
+// the window query's stage histograms. The shard supervisor families keep
+// their gps_engine_* names and read Health: the counters sum it over the
+// shards, so they count across every pane the window has run, and the
+// degraded gauge counts the shards it reports degraded, so it agrees with
+// shard_health. Health reads the retired panes' totals and the live pane
+// under one hold of the window mutex, so a rotation cannot move a count
+// between them mid-read. The readers take the window mutex briefly (no
+// engine barrier), so scrapes stay cheap. labels (e.g. a stream name) are
+// stamped on every sample.
 func (w *Windowed) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 	wc := w.Config()
 	reg.RegisterGaugeFunc("gps_window_width",
@@ -112,6 +114,8 @@ func (w *Windowed) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 		total(func(h ShardHealth) uint64 { return h.Restarts }), labels...)
 	reg.RegisterCounterFunc("gps_engine_shard_lost_edges_total", helpShardLostEdges,
 		total(func(h ShardHealth) uint64 { return h.LostEdges }), labels...)
+	reg.RegisterGaugeFunc("gps_engine_shards_degraded", helpShardsDegraded,
+		func() float64 { shards, _ := w.Health(); return degradedShards(shards) }, labels...)
 	reg.RegisterHistogram("gps_window_query_lock_seconds",
 		"Window mutex hold per window query (live-pane snapshot and merge), during which ingest into the stream waits.",
 		w.met.lockNS, labels...)

@@ -504,108 +504,83 @@ func (a *Adjacency) SlotEnds(ends [][2]int32) {
 	}
 }
 
-// CommonNeighbors calls fn for each node adjacent to both u and v, in
-// ascending order, until fn returns false. This is the query behind
-// W(k,K̂)=|Γ̂(v1)∩Γ̂(v2)| (§3.2, S4): a two-pointer merge over the sorted
-// neighbor runs, degrading to binary probes of the larger run when the
-// degrees are skewed by more than 16×. It allocates nothing.
-func (a *Adjacency) CommonNeighbors(u, v NodeID, fn func(NodeID) bool) {
-	su, sv := a.neighborsOf(u), a.neighborsOf(v)
-	if len(su) > len(sv) {
-		su, sv = sv, su
+// IntersectRuns calls fn(i, j) for each node that both sorted runs a and b
+// hold, in ascending order, with i its index in a and j its index in b,
+// until fn returns false. It is the one intersection behind
+// CommonNeighbors, CommonNeighborsWithSlots and estimators that resolved
+// both endpoints' runs themselves (NeighborRun): a two-pointer merge over
+// the runs, switching to binary probes of the longer run for each node of
+// the shorter when the lengths differ by more than 16×. It allocates
+// nothing.
+func IntersectRuns(a, b []NodeID, fn func(i, j int) bool) {
+	swapped := len(a) > len(b)
+	if swapped {
+		a, b = b, a
 	}
-	if len(su) == 0 {
+	if len(a) == 0 {
 		return
 	}
-	if len(sv) > 16*len(su) {
-		// Skewed: probe the big run for each element of the small one.
-		for _, w := range su {
-			i := searchNode(sv, w)
-			if i < len(sv) && sv[i] == w {
-				if !fn(w) {
-					return
-				}
-			}
-			sv = sv[i:]
-		}
-		return
-	}
-	i, j := 0, 0
-	for i < len(su) && j < len(sv) {
-		x, y := su[i], sv[j]
-		switch {
-		case x == y:
-			if !fn(x) {
-				return
-			}
-			i++
-			j++
-		case x < y:
-			i++
-		default:
-			j++
-		}
-	}
-}
-
-// CommonNeighborsWithSlots is CommonNeighbors additionally yielding the
-// slot annotations of the two run edges: su for {u,w} and sv for {v,w}.
-// Enumeration order and the merge/probe strategy match CommonNeighbors
-// exactly, so replacing one with the other cannot reorder a summation.
-func (a *Adjacency) CommonNeighborsWithSlots(u, v NodeID, fn func(w NodeID, su, sv int32) bool) {
-	nu, slu := a.NeighborRun(u)
-	nv, slv := a.NeighborRun(v)
-	swapped := false
-	if len(nu) > len(nv) {
-		nu, nv, slu, slv = nv, nu, slv, slu
-		swapped = true
-	}
-	if len(nu) == 0 {
-		return
-	}
-	emit := func(w NodeID, small, big int32) bool {
-		if swapped {
-			return fn(w, big, small)
-		}
-		return fn(w, small, big)
-	}
-	if len(nv) > 16*len(nu) {
-		// Skewed: probe the big run for each element of the small one.
+	if len(b) > 16*len(a) {
+		// Skewed: probe the long run for each node of the short one.
 		off := 0
-		for i, w := range nu {
-			j := off + searchNode(nv[off:], w)
-			if j < len(nv) && nv[j] == w {
-				if !emit(w, slu[i], slv[j]) {
-					return
-				}
+		for i, x := range a {
+			j := off + searchNode(b[off:], x)
+			if j < len(b) && b[j] == x && !yieldPair(fn, swapped, i, j) {
+				return
 			}
 			off = j
 		}
 		return
 	}
 	i, j := 0, 0
-	for i < len(nu) && j < len(nv) {
-		x, y := nu[i], nv[j]
-		switch {
-		case x == y:
-			if !emit(x, slu[i], slv[j]) {
-				return
-			}
-			i++
-			j++
-		case x < y:
-			i++
-		default:
-			j++
+	for i < len(a) && j < len(b) {
+		x, y := a[i], b[j]
+		if x == y && !yieldPair(fn, swapped, i, j) {
+			return
 		}
+		// Step past the smaller head, or past both on a match, without a
+		// branch: d>>63 is -1 when d < 0 and 0 otherwise. The difference
+		// is taken in 64 bits, so it cannot overflow for any two NodeIDs.
+		d := int64(y) - int64(x)
+		i += 1 + int(d>>63)
+		j += 1 + int(-d>>63)
 	}
+}
+
+// yieldPair calls fn with the indices in the order of IntersectRuns'
+// arguments, undoing its swap of the shorter run to the front.
+func yieldPair(fn func(i, j int) bool, swapped bool, i, j int) bool {
+	if swapped {
+		return fn(j, i)
+	}
+	return fn(i, j)
+}
+
+// CommonNeighbors calls fn for each node adjacent to both u and v, in
+// ascending order, until fn returns false. This is the query behind
+// W(k,K̂)=|Γ̂(v1)∩Γ̂(v2)| (§3.2, S4), answered by IntersectRuns over the
+// two neighbor runs. It allocates nothing.
+func (a *Adjacency) CommonNeighbors(u, v NodeID, fn func(NodeID) bool) {
+	nu, nv := a.neighborsOf(u), a.neighborsOf(v)
+	IntersectRuns(nu, nv, func(i, _ int) bool { return fn(nu[i]) })
+}
+
+// CommonNeighborsWithSlots is CommonNeighbors additionally yielding the
+// slot annotations of the two run edges: su for {u,w} and sv for {v,w}.
+// Both methods enumerate through IntersectRuns, so their order is the
+// same by construction and replacing one with the other cannot reorder a
+// summation.
+func (a *Adjacency) CommonNeighborsWithSlots(u, v NodeID, fn func(w NodeID, su, sv int32) bool) {
+	nu, slu := a.NeighborRun(u)
+	nv, slv := a.NeighborRun(v)
+	IntersectRuns(nu, nv, func(i, j int) bool { return fn(nu[i], slu[i], slv[j]) })
 }
 
 // CountCommonNeighbors returns |Γ(u) ∩ Γ(v)|, the number of triangles the
 // edge {u,v} would close against the stored graph.
 func (a *Adjacency) CountCommonNeighbors(u, v NodeID) int {
 	n := 0
-	a.CommonNeighbors(u, v, func(NodeID) bool { n++; return true })
+	IntersectRuns(a.neighborsOf(u), a.neighborsOf(v), func(int, int) bool { n++; return true })
 	return n
 }
 

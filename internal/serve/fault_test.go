@@ -451,7 +451,9 @@ func TestServeDegradedFromEngine(t *testing.T) {
 // /v1/stats shard_health report it degraded while the engine retains the
 // pane. The supervisor counters in /metrics count the recovery across
 // panes: they appear with it and never drop, neither when its pane retires
-// nor when it is pruned, and shard_health counts the same.
+// nor when it is pruned, and shard_health counts the same. At every step
+// the gps_engine_shards_degraded gauge equals the number of shards
+// shard_health reports degraded.
 func TestServeWindowDegradedFromEngine(t *testing.T) {
 	edges := gen.ErdosRenyi(60, 500, 13)
 	for i := range edges {
@@ -479,12 +481,15 @@ func TestServeWindowDegradedFromEngine(t *testing.T) {
 			t.Fatalf("%s: degraded query counter moved by %g, want %g", step, counted, wantCounted)
 		}
 	}
-	// shardHealth sums the default stream's /v1/stats shard_health.
-	shardHealth := func() (restarts, lost float64, degraded bool) {
+	// shardHealth sums the default stream's /v1/stats shard_health and
+	// counts its degraded shards.
+	shardHealth := func() (restarts, lost, degraded float64) {
 		for _, h := range getStats(t, ts.URL).Streams[0].ShardHealth {
 			restarts += float64(h.Restarts)
 			lost += float64(h.LostEdges)
-			degraded = degraded || h.Degraded
+			if h.Degraded {
+				degraded++
+			}
 		}
 		return restarts, lost, degraded
 	}
@@ -493,8 +498,8 @@ func TestServeWindowDegradedFromEngine(t *testing.T) {
 		if got := srv.def.eng.Degraded(); got != want {
 			t.Fatalf("%s: engine Degraded() = %v, want %v", step, got, want)
 		}
-		if _, _, got := shardHealth(); got != want {
-			t.Fatalf("%s: shard_health degraded = %v, want %v", step, got, want)
+		if _, _, got := shardHealth(); (got > 0) != want {
+			t.Fatalf("%s: shard_health reports %g degraded shards, want degraded %v", step, got, want)
 		}
 	}
 	var restarts, lost float64
@@ -503,14 +508,17 @@ func TestServeWindowDegradedFromEngine(t *testing.T) {
 		scrape := scrapeMetrics(t, ts.URL)
 		r, okR := metricValue(scrape, "gps_engine_shard_restarts_total")
 		l, okL := metricValue(scrape, "gps_engine_shard_lost_edges_total")
-		if !okR || !okL {
-			t.Fatalf("%s: supervisor counters in /metrics: restarts %v, lost edges %v; want both", step, okR, okL)
+		d, okD := metricValue(scrape, "gps_engine_shards_degraded")
+		if !okR || !okL || !okD {
+			t.Fatalf("%s: supervisor families in /metrics: restarts %v, lost edges %v, degraded %v; want all three",
+				step, okR, okL, okD)
 		}
 		if r < restarts || l < lost {
 			t.Fatalf("%s: restarts %g, lost edges %g dropped from %g, %g", step, r, l, restarts, lost)
 		}
-		if hr, hl, _ := shardHealth(); hr != r || hl != l {
-			t.Fatalf("%s: shard_health reads %g restarts, %g lost edges; the counters read %g, %g", step, hr, hl, r, l)
+		if hr, hl, hd := shardHealth(); hr != r || hl != l || hd != d {
+			t.Fatalf("%s: shard_health reads %g restarts, %g lost edges, %g degraded shards; /metrics reads %g, %g, %g",
+				step, hr, hl, hd, r, l, d)
 		}
 		restarts, lost = r, l
 	}
